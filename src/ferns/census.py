@@ -13,19 +13,20 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .gf import ExtField, Flag, LinSpace, Subspace, VSpace, field_make, flags
-from .universal import (ClassPoint, bv_member, compatibility_checker,
-                        functional_candidates)
+from .gf import (ExtField, Flag, LinSpace, VSpace, field_make, flags,
+                 gaussian_binomial)
+from .universal import compatibility_checker, functional_candidates
 
 
 class BudgetExceeded(RuntimeError):
-    """The brute-force tuple space is larger than the configured budget."""
+    """The brute-force tuple space is larger than the configured budget;
+    ``size`` is a lower bound on its size."""
 
     def __init__(self, size: int, budget: int):
         self.size, self.budget = size, budget
-        super().__init__(f"enumeration size {size} exceeds budget {budget}")
+        super().__init__(f"enumeration size at least {size} exceeds budget {budget}")
 
 
 def omega_count(n: int, q: int, m: int) -> int:
@@ -42,7 +43,8 @@ def omega_count(n: int, q: int, m: int) -> int:
         if count <= 0:
             return 0
         total *= count
-    assert total % (q ** m - 1) == 0
+    if total % (q ** m - 1):
+        raise AssertionError("injective maps do not split into scalar classes")
     return total // (q ** m - 1)
 
 
@@ -65,7 +67,8 @@ def omega_count_bruteforce(field: ExtField, n: int) -> int:
         return total
 
     injective = extend({()}, 0)
-    assert injective % (field.order - 1) == 0
+    if injective % (field.order - 1):
+        raise AssertionError("enumerated maps do not split into scalar classes")
     return injective // (field.order - 1)
 
 
@@ -129,18 +132,31 @@ def bv_count_strata(n: int, q: int, m: int) -> CountReport:
     return CountReport(n, q, m, tuple(strata), total, None)
 
 
+def _check_budget(n: int, q: int, m: int, budget: int) -> None:
+    """Raise BudgetExceeded unless the oracle's tuple space fits the budget.
+
+    The oracle picks one of the (Q^d - 1)/(Q - 1) canonically scaled
+    functionals, Q = q^m, on each of the [n choose d]_q subspaces of
+    dimension d.  The product is not multiplied out past the budget.
+    """
+    order = _field_for(q, m).order
+    size = 1
+    for d in range(1, n + 1):
+        classes = (order ** d - 1) // (order - 1)
+        # classes^k >= 2^k, so an exponent beyond the budget's bit length
+        # exceeds it on its own
+        size *= classes ** min(gaussian_binomial(n, d, q), budget.bit_length())
+        if size > budget:
+            raise BudgetExceeded(size, budget)
+
+
 def bv_count_bruteforce(n: int, q: int, m: int, budget: int = 10 ** 6) -> int:
     """Oracle: enumerate all functional tuples, count the compatible ones."""
-    fld = _field_for(q, m)
-    space = LinSpace.full(VSpace(fld, n))
+    _check_budget(n, q, m, budget)
+    space = LinSpace.full(VSpace(_field_for(q, m), n))
     checker = compatibility_checker(space)
     subs = checker.subs
     candidates = [functional_candidates(space, w) for w in subs]
-    size = 1
-    for c in candidates:
-        size *= len(c)
-    if size > budget:
-        raise BudgetExceeded(size, budget)
     count = 0
     for combo in itertools.product(*candidates):
         if checker.bv_ok(dict(zip(subs, combo))):
@@ -150,6 +166,8 @@ def bv_count_bruteforce(n: int, q: int, m: int, budget: int = 10 ** 6) -> int:
 
 def census(n: int, q: int, m: int, with_oracle: bool = True,
            budget: int = 10 ** 6) -> CountReport:
+    if with_oracle:  # before the stratum sum, which can take long itself
+        _check_budget(n, q, m, budget)
     report = bv_count_strata(n, q, m)
     if not with_oracle:
         return report
@@ -174,8 +192,9 @@ def confirm_omega_closed_form(limit: int = 4096) -> List[Tuple[int, int, int]]:
             fld = _field_for(q, m)
             n = 1
             while q ** (n * m) <= limit:
-                assert omega_count(n, q, m) == omega_count_bruteforce(fld, n), \
-                    (n, q, m)
+                if omega_count(n, q, m) != omega_count_bruteforce(fld, n):
+                    raise AssertionError(
+                        f"closed form disagrees with the oracle at {(n, q, m)}")
                 checked.append((n, q, m))
                 n += 1
             m += 1

@@ -5,7 +5,10 @@ verify.  Everything reads and writes JSON (CSV for census tables), field
 elements travel as coefficient lists, and every run is reproducible from
 its invocation record; the record is echoed into each JSON artifact.
 
-Exit codes: 0 success, 1 property failure, 2 malformed input.
+Exit codes: 0 success, 1 property failure, 2 malformed input.  Malformed
+input includes parameters a constructor rejects (a non-prime p, a q that
+is not a prime power, n or m below one, a chart basis that does not span)
+and a census whose brute-force oracle would exceed ``--budget``.
 """
 
 from __future__ import annotations
@@ -18,13 +21,22 @@ from typing import List, Optional
 from . import census as census_mod
 from . import curve, jsonio, verify
 from .fern import InvalidFern, contract_fern, drinfeld_psi, graft, line_data
-from .gf import INF, LinSpace, Subspace, VSpace, field_make
+from .gf import LinSpace, Subspace, VSpace, field_make
 from .universal import (Chart, chart_coords, chart_point, chart_points,
                         classify, fiber)
 
 
 class UsageError(ValueError):
     """Malformed input (exit code 2)."""
+
+
+def _checked(build, *args):
+    """Call a constructor on command-line parameters; the ValueError it
+    raises for a bad parameter is malformed input."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_element(fld, text: str):
@@ -37,21 +49,24 @@ def _parse_element(fld, text: str):
 
 def _parse_tuple(fld, text: str, arity: int):
     parts = [p for p in text.split(";")] if text else []
-    if text == "" and arity == 0:
-        parts = []
     if len(parts) != arity:
         raise UsageError(f"expected {arity} coordinates, got {len(parts)}")
     return tuple(_parse_element(fld, p) for p in parts)
 
 
-def _parse_subspace(vs, text: str) -> Subspace:
+def _parse_rows(text: str, n: int) -> list:
+    """Vectors of length n written as 'a,b,..;c,d,..'."""
     try:
         rows = [tuple(int(c) for c in row.split(",")) for row in text.split(";")]
     except ValueError as exc:
-        raise UsageError(f"bad subspace spec {text!r}") from exc
-    if any(len(r) != vs.n for r in rows):
-        raise UsageError("subspace rows must have length n")
-    return Subspace.from_vectors(vs, rows)
+        raise UsageError(f"bad vector list {text!r}") from exc
+    if any(len(r) != n for r in rows):
+        raise UsageError("vector rows must have length n")
+    return rows
+
+
+def _parse_subspace(vs, text: str) -> Subspace:
+    return Subspace.from_vectors(vs, _parse_rows(text, vs.n))
 
 
 def _load_fern(path: str):
@@ -86,17 +101,14 @@ def _invocation(args) -> dict:
 
 
 def _field(args):
-    return field_make(args.p, args.e, args.m)
+    return _checked(field_make, args.p, args.e, args.m)
 
 
 def _chart(args) -> Chart:
-    fld = _field(args)
-    space = LinSpace.full(VSpace(fld, args.n))
+    space = LinSpace.full(_checked(VSpace, _field(args), args.n))
     chart = Chart(space)
     if args.basis:
-        rows = [tuple(int(c) for c in row.split(","))
-                for row in args.basis.split(";")]
-        chart = Chart(space, rows)
+        chart = _checked(Chart, space, _parse_rows(args.basis, args.n))
     return chart
 
 
@@ -105,9 +117,15 @@ def _chart(args) -> Chart:
 # ---------------------------------------------------------------------------
 
 def cmd_census(args) -> int:
-    report = census_mod.census(args.n, args.q, args.m,
-                               with_oracle=not args.no_oracle,
-                               budget=args.budget)
+    # malformed q, m or n exit 2 before any counting
+    fld = _checked(census_mod._field_for, args.q, args.m)
+    _checked(VSpace, fld, args.n)
+    try:
+        report = census_mod.census(args.n, args.q, args.m,
+                                   with_oracle=not args.no_oracle,
+                                   budget=args.budget)
+    except census_mod.BudgetExceeded as exc:
+        raise UsageError(f"{exc}; raise --budget or pass --no-oracle") from exc
     text = report.to_csv()
     if args.out:
         with open(args.out, "w") as handle:
@@ -276,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("roundtrip", help="sweep charts and verify round trips")
     _add_field_args(r)
-    r.add_argument("--exhaustive", action="store_true",
-                   help="kept for symmetry; sweeps are always exhaustive")
     r.add_argument("--out")
     r.set_defaults(func=cmd_roundtrip)
 

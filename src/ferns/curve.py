@@ -18,7 +18,7 @@ images); only ``MarkedTree.validate`` decides stability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .gf import ExtField, FieldElement
@@ -182,9 +182,6 @@ class Component:
     marks: dict
     node_points: dict  # neighbor cid -> position on this component
 
-    def special_points(self) -> list:
-        return list(self.marks.values()) + list(self.node_points.values())
-
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -243,9 +240,6 @@ class MarkedTree:
 
     def component(self, cid) -> Component:
         return Component(cid, dict(self._marks_on[cid]), dict(self._adj[cid]))
-
-    def mark_position(self, label) -> End:
-        return self.marking[label]
 
     def is_connected_tree(self) -> bool:
         if not self.components:
@@ -332,10 +326,6 @@ class MarkedTree:
                 v.append(f"component {c!r} carries {count} special points (< 3)")
         return StabilityReport(tuple(v))
 
-    @property
-    def is_stable(self) -> bool:
-        return self.validate().ok
-
 
 def single_component_tree(fld: ExtField, marking: Dict[object, ProjPoint],
                           cid="c0") -> MarkedTree:
@@ -392,10 +382,6 @@ class ContractionResult:
 
     tree: MarkedTree
     component_image: dict
-
-    def image_of(self, cid, pt: ProjPoint) -> End:
-        target, collapse_pt = self.component_image[cid]
-        return (target, pt if collapse_pt is None else collapse_pt)
 
 
 def contract(t: MarkedTree, keep: Iterable) -> ContractionResult:
@@ -669,7 +655,8 @@ def are_isomorphic(t1: MarkedTree, t2: MarkedTree,
         ]
         if not candidates:
             return None
-        assert len(candidates) == 1, "median of three marks must be unique"
+        if len(candidates) > 1:
+            raise AssertionError("median of three marks must be unique")
         d = candidates[0]
         comp_map[c] = d
         src = tuple(entry1[c][a] for a in anchors)

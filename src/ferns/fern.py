@@ -23,12 +23,11 @@ Derived data:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import curve
-from .curve import MarkedTree, Mobius, ProjPoint, Correspondence
+from .curve import MarkedTree, Mobius, Correspondence
 from .gf import (INF, FieldElement, Flag, GroupElement, LinSpace, Subspace,
                  group_act, group_elements)
 
@@ -41,11 +40,6 @@ class InvalidFern(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
-
-
-def vhat(space: LinSpace) -> list:
-    """The mark set of a fern on ``space``: all vectors plus infinity."""
-    return list(space.vectors()) + [INF]
 
 
 def remarked(tree: MarkedTree, space: LinSpace, g: GroupElement) -> MarkedTree:
@@ -64,24 +58,6 @@ class Fern:
     flag: Flag
     translations: dict  # (v, xi) -> Correspondence realizing the remarking
 
-    def automorphism(self, g: GroupElement) -> Correspondence:
-        return self.translations[(g.v, g.xi)]
-
-    def chain_marks(self) -> Tuple[List[ProjPoint], List[ProjPoint]]:
-        """Distinguished points (x_i, y_i) on each chain component."""
-        t = self.tree
-        xs, ys = [], []
-        for i, cid in enumerate(self.chain):
-            if i == 0:
-                xs.append(t.marking[self.space.zero][1])
-            else:
-                xs.append(t.neighbors(cid)[self.chain[i - 1]])
-            if i == len(self.chain) - 1:
-                ys.append(t.marking[INF][1])
-            else:
-                ys.append(t.neighbors(cid)[self.chain[i + 1]])
-        return xs, ys
-
     def is_smooth(self) -> bool:
         return len(self.chain) == 1
 
@@ -96,23 +72,28 @@ def _chain_of(tree: MarkedTree, space: LinSpace) -> Tuple:
     return tuple(tree.path(start, goal))
 
 
-def fern_violations(tree: MarkedTree, space: LinSpace,
-                    _out: Optional[dict] = None) -> List[str]:
+def fern_violations(tree: MarkedTree, space: LinSpace) -> List[str]:
     """All fern-axiom violations of a marked tree; empty means valid.
 
     Checks, in order: the mark set, stability, the existence of a marked
     isomorphism for every group element (the witnessing element is
     reported on failure), and the scalar action on each chain component.
     """
+    return _check_axioms(tree, space)[0]
+
+
+def _check_axioms(tree: MarkedTree, space: LinSpace):
+    """The violations, plus the group correspondences and the chain that
+    validation keeps when there are none."""
     violations: List[str] = []
     expected = set(space.vectors()) | {INF}
     if set(tree.marking) != expected:
         violations.append("marking is not indexed by the vector space plus infinity")
-        return violations
+        return violations, None, None
     report = tree.validate()
     if not report.ok:
         violations.extend(report.violations)
-        return violations
+        return violations, None, None
 
     # the remarked tree shares components and nodes, so its entry maps are
     # the base tree's with the mark keys permuted
@@ -128,7 +109,7 @@ def fern_violations(tree: MarkedTree, space: LinSpace,
         else:
             corrs[(g.v, g.xi)] = corr
     if violations:
-        return violations
+        return violations, None, None
 
     chain = _chain_of(tree, space)
     fld = space.field
@@ -147,12 +128,7 @@ def fern_violations(tree: MarkedTree, space: LinSpace,
             if not induced.is_scaling_by(scale):
                 violations.append(
                     f"xi={xi} does not act by scaling on chain component {cid!r}")
-    if violations:
-        return violations
-    if _out is not None:
-        _out["corrs"] = corrs
-        _out["chain"] = chain
-    return violations
+    return violations, corrs, chain
 
 
 def _distinguished(tree, space, chain, i):
@@ -182,12 +158,10 @@ def validate_fern(tree: MarkedTree, space: LinSpace) -> Fern:
 
     Raises :class:`InvalidFern` with the full violation list on failure.
     """
-    out: dict = {}
-    violations = fern_violations(tree, space, _out=out)
+    violations, corrs, chain = _check_axioms(tree, space)
     if violations:
         raise InvalidFern(violations)
-    corrs, chain = out["corrs"], out["chain"]
-    steps = [space.bottom_flag_step()]
+    steps = [space.mod]
     for cid in chain:
         stab = [v for v in space.vectors()
                 if corrs[(v, 1)].components[cid] == cid]
@@ -195,26 +169,21 @@ def validate_fern(tree: MarkedTree, space: LinSpace) -> Fern:
             space.vs, list(space.mod.rows) + stab)
         steps.append(step)
     flag = Flag(tuple(steps))
-    if steps[-1] != space.top_flag_step():  # pragma: no cover - theory guarantee
+    if steps[-1] != space.sub:  # pragma: no cover - theory guarantee
         raise InvalidFern(["chain stabilizers do not exhaust the space"])
     return Fern(tree, space, chain, flag, corrs)
-
-
-def associated_flag(f: Fern) -> Flag:
-    return f.flag
 
 
 # ---------------------------------------------------------------------------
 # Contraction and grafting
 # ---------------------------------------------------------------------------
 
-def contract_fern(f: Fern, w: Subspace, validate: bool = True):
+def contract_fern(f: Fern, w: Subspace) -> Fern:
     """Contract with respect to the marks in w (plus infinity).
 
     ``w`` must sit strictly between the modulus and the subspace of the
     fern's space.  Returns the fern on the smaller space, still carrying
-    the forgotten marks as extra points; with ``validate=False`` only the
-    contracted tree and space are returned.
+    the forgotten marks as extra points.
     """
     space = f.space
     if not (w.contains_subspace(space.mod) and space.sub.contains_subspace(w)):
@@ -224,13 +193,10 @@ def contract_fern(f: Fern, w: Subspace, validate: bool = True):
     keep = [v for v in space.vectors() if w.contains(v)] + [INF]
     result = curve.contract(f.tree, keep)
     sub_space = space.subquotient(w)
-    if not validate:
-        return result.tree, sub_space
     return validate_fern(result.tree, sub_space)
 
 
-def graft(sub_fern: Fern, quot_fern: Fern, complement: Subspace,
-          validate: bool = True):
+def graft(sub_fern: Fern, quot_fern: Fern, complement: Subspace) -> Fern:
     """Glue a copy of ``sub_fern`` onto every vector mark of ``quot_fern``.
 
     ``sub_fern`` lives on W/U and ``quot_fern`` on S/W; the result lives on
@@ -274,8 +240,6 @@ def graft(sub_fern: Fern, quot_fern: Fern, complement: Subspace,
         q_cid, q_pt = quot_fern.tree.marking[qmark]
         nodes.append(curve.node((tag, inf_cid), inf_pt, ("quot", q_cid), q_pt))
     tree = MarkedTree(fld, components, nodes, marking)
-    if not validate:
-        return tree, target
     return validate_fern(tree, target)
 
 
@@ -323,9 +287,6 @@ class LineData:
     def is_injective(self) -> bool:
         return self.kernel().dim == self.space.mod.dim
 
-    def functional(self, basis: Sequence[Vec]) -> tuple:
-        return tuple(self.values[self.space.reduce(b)] for b in basis)
-
 
 @dataclass(frozen=True)
 class RecipData:
@@ -338,6 +299,19 @@ class RecipData:
         return [v for v, x in self.values.items() if x]
 
 
+def _line_values(tree: MarkedTree, space: LinSpace, origin,
+                 pole) -> Dict[Vec, FieldElement]:
+    """Values of the vector marks other than ``pole`` on the contraction to
+    the pole's component, in the coordinate that puts the ``origin`` mark
+    at zero, the pole at infinity and the first other mark at one."""
+    squashed = curve.contract_to_component(tree, pole).tree
+    pos = {lbl: squashed.marking[lbl][1] for lbl in list(space.vectors()) + [INF]}
+    anchor = _first_off(squashed, space, {pos[origin], pos[pole]})
+    coord = Mobius.to_standard(pos[origin], pos[anchor], pos[pole])
+    return {v: coord.apply(pos[v]).affine_value()
+            for v in space.vectors() if v != pole}
+
+
 def line_data(f: Fern) -> LineData:
     """Values of the marks on the contraction to the infinity component.
 
@@ -345,14 +319,8 @@ def line_data(f: Fern) -> LineData:
     infinity; the scale is then canonicalized.  The kernel is exactly the
     second to last step of the associated flag.
     """
-    space = f.space
-    squashed = curve.contract_to_component(f.tree, INF).tree
-    pos = {v: squashed.marking[v][1] for v in space.vectors()}
-    pos_inf = squashed.marking[INF][1]
-    anchor = _first_off(squashed, space, {pos[space.zero], pos_inf})
-    coord = Mobius.to_standard(pos[space.zero], pos[anchor], pos_inf)
-    values = {v: coord.apply(p).affine_value() for v, p in pos.items()}
-    return LineData(space, _canonical_scale(space, values))
+    values = _line_values(f.tree, f.space, f.space.zero, INF)
+    return LineData(f.space, _canonical_scale(f.space, values))
 
 
 def reciprocal_data(f: Fern) -> RecipData:
@@ -362,15 +330,8 @@ def reciprocal_data(f: Fern) -> RecipData:
     infinity, so the values vanish exactly on the marks that collapse onto
     the infinity direction (everything off the first flag step).
     """
-    space = f.space
-    squashed = curve.contract_to_component(f.tree, space.zero).tree
-    pos = {v: squashed.marking[v][1] for v in space.vectors()}
-    pos_inf = squashed.marking[INF][1]
-    anchor = _first_off(squashed, space, {pos[space.zero], pos_inf})
-    coord = Mobius.to_standard(pos_inf, pos[anchor], pos[space.zero])
-    values = {v: coord.apply(p).affine_value()
-              for v, p in pos.items() if v != space.zero}
-    return RecipData(space, _canonical_scale(space, values))
+    values = _line_values(f.tree, f.space, INF, f.space.zero)
+    return RecipData(f.space, _canonical_scale(f.space, values))
 
 
 @dataclass(frozen=True)
@@ -444,8 +405,10 @@ def drinfeld_psi(ld: LineData, scale: Optional[FieldElement] = None) -> Additive
             raise AssertionError(f"non-q-power exponent {i} in additive polynomial")
         table[i] = c
     poly = AdditivePoly(fld, q, table)
-    assert poly.x_coefficient() == fld.one
-    assert poly.degree == q ** space.dim
+    if poly.x_coefficient() != fld.one:
+        raise AssertionError("x-coefficient of psi is not one")
+    if poly.degree != q ** space.dim:
+        raise AssertionError(f"psi has degree {poly.degree}, not q^dim")
     for v in space.vectors():
         if poly.evaluate_scalar_part(lam[v] if v != space.zero else fld.zero):
             raise AssertionError("marked value is not a root of psi")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 #: Marker for the extra point at infinity in marked sets V u {inf}.
 INF = "inf"
@@ -409,14 +409,12 @@ class ExtField:
             self.s_mul = [[sc_mul(i, j) for j in range(q)] for i in range(q)]
             self.s_neg = [sc_neg(i) for i in range(q)]
             self.s_inv = [sc_inv(i) for i in range(q)]
-            self._scalar_index = {x.coeffs: i for i, x in enumerate(self.scalars)}
         else:
             self.scalars = _Lazy1D(embed, q)
             self.s_add = _Lazy2D(sc_add)
             self.s_mul = _Lazy2D(sc_mul)
             self.s_neg = _Lazy1D(sc_neg, q)
             self.s_inv = _Lazy1D(sc_inv, q)
-            self._scalar_index = None
 
     def _eval_base(self, poly: Coeffs, x: FieldElement) -> FieldElement:
         acc = self.zero
@@ -428,15 +426,6 @@ class ExtField:
         """The embedded image in F_{q^m} of the i-th element of F_q."""
         return self.scalars[i]
 
-    def scalar_index_of(self, x: FieldElement) -> Optional[int]:
-        """The F_q index of x if x lies in the embedded subfield, else None."""
-        if self._scalar_index is None:
-            for i in range(self.q):
-                if self.scalars[i] == x:
-                    return i
-            return None
-        return self._scalar_index.get(x.coeffs)
-
 
 @lru_cache(maxsize=None)
 def _base_field(p: int, e: int) -> "ExtField":
@@ -446,9 +435,6 @@ def _base_field(p: int, e: int) -> "ExtField":
 @lru_cache(maxsize=None)
 def field_make(p: int, e: int = 1, m: int = 1) -> ExtField:
     """Construct (and cache) the field F_{(p^e)^m} with its canonical modulus."""
-    if e == 1 and m > 1:
-        # same field either way; normalize so F_q sits inside via e
-        return ExtField(p, 1, m)
     return ExtField(p, e, m)
 
 
@@ -505,17 +491,6 @@ class VSpace:
     def scale(self, c: int, v: Vec) -> Vec:
         s = self.field.s_mul
         return tuple(s[c][a] for a in v)
-
-    def lift(self, v: Vec) -> "list[FieldElement]":
-        """Coordinates of v as elements of the value field."""
-        return [self.field.scalar(c) for c in v]
-
-    def truncate_le(self, v: Vec, k: int) -> Vec:
-        """Zero out coordinates after the k-th (truncation onto span b_1..b_k)."""
-        return v[:k] + (0,) * (self.n - k)
-
-    def truncate_gt(self, v: Vec, k: int) -> Vec:
-        return (0,) * k + v[k:]
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +597,8 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     for i in range(d):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError(f"Gaussian binomial [{n} choose {d}]_{q} is not integral")
     return num // den
 
 
@@ -666,19 +642,12 @@ class Flag:
             if not (b.contains_subspace(a) and a.dim < b.dim):
                 raise ValueError("flag steps must strictly increase")
 
-    @classmethod
-    def trivial(cls, space: VSpace) -> "Flag":
-        return cls((Subspace.zero(space), Subspace.full(space)))
-
     @property
     def length(self) -> int:
         return len(self.steps) - 1
 
     def is_complete(self) -> bool:
         return all(b.dim == a.dim + 1 for a, b in zip(self.steps, self.steps[1:]))
-
-    def is_subflag_of(self, other: "Flag") -> bool:
-        return set(self.steps) <= set(other.steps)
 
     def intersect(self, w: Subspace) -> "Flag":
         """The flag of w cut out by this flag: steps V_i n w, deduplicated."""
@@ -757,14 +726,23 @@ class LinSpace:
         self.zero = mod.reduce(vs.zero)
         self._vectors: Optional[tuple] = None
         self._basis: Optional[tuple] = None
-        self._coords_cache: dict = {}
+        self._coords: dict = {}  # basis (None: canonical) -> {vector: coords}
+        self._subquotients: dict = {}
+        #: universal.compatibility_checker's checker for this space, once built
+        self.checker = None
 
     @classmethod
     def full(cls, vs: VSpace) -> "LinSpace":
         return cls(vs, Subspace.full(vs), Subspace.zero(vs))
 
     def subquotient(self, sub: Subspace, mod: Optional[Subspace] = None) -> "LinSpace":
-        return LinSpace(self.vs, sub, self.mod if mod is None else mod)
+        """The subquotient sub/mod (default mod: this space's modulus), kept
+        on this space so that its caches amortize across callers."""
+        key = (sub, self.mod if mod is None else mod)
+        out = self._subquotients.get(key)
+        if out is None:
+            out = self._subquotients[key] = LinSpace(self.vs, *key)
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, LinSpace) and other.vs == self.vs
@@ -798,7 +776,8 @@ class LinSpace:
                 if not span.contains(row):
                     basis.append(self.reduce(row))
                     span = span.add_subspace(Subspace.from_vectors(self.vs, [row]))
-            assert len(basis) == self.dim
+            if len(basis) != self.dim:
+                raise AssertionError("subquotient basis size differs from the dimension")
             self._basis = tuple(basis)
         return self._basis
 
@@ -814,24 +793,29 @@ class LinSpace:
     def scale(self, c: int, v: Vec) -> Vec:
         return self.reduce(self.vs.scale(c, v))
 
-    def combine(self, coeffs: Sequence[int]) -> Vec:
-        """The rep with the given coordinates in the canonical basis."""
+    def combine(self, coeffs: Sequence[int],
+                basis: Optional[Sequence[Vec]] = None) -> Vec:
+        """The rep with the given coordinates in ``basis`` (default the
+        canonical one)."""
         v = self.vs.zero
-        for c, b in zip(coeffs, self.basis()):
+        for c, b in zip(coeffs, self.basis() if basis is None else basis):
             v = self.vs.add(v, self.vs.scale(c, b))
         return self.reduce(v)
 
-    def coords_cached(self, v: Vec) -> Vec:
-        """Coordinates in the canonical basis, memoized per space."""
-        out = self._coords_cache.get(v)
+    def coords(self, v: Vec, basis: Optional[Sequence[Vec]] = None) -> Vec:
+        """Coordinates of v in ``basis`` (default the canonical one),
+        memoized per space and basis."""
+        key = None if basis is None else tuple(basis)
+        memo = self._coords.get(key)
+        if memo is None:
+            memo = self._coords[key] = {}
+        out = memo.get(v)
         if out is None:
-            out = self.coords(self.reduce(v))
-            self._coords_cache[v] = out
+            out = memo[v] = self._solve(
+                self.reduce(v), self.basis() if basis is None else key)
         return out
 
-    def coords(self, v: Vec, basis: Optional[Sequence[Vec]] = None) -> Vec:
-        """Coordinates of a rep in ``basis`` (default the canonical one)."""
-        basis = self.basis() if basis is None else tuple(basis)
+    def _solve(self, v: Vec, basis: tuple) -> Vec:
         f, n = self.field, self.vs.n
         rows = [list(b) + [1 if i == j else 0 for j in range(len(basis))]
                 for i, b in enumerate(basis)]
@@ -877,26 +861,6 @@ class LinSpace:
     def proper_steps(self) -> list:
         """All W with U < W < S (candidates for contraction and grafting)."""
         return [w for d in range(1, self.dim) for w in self.subspace_steps(d)]
-
-    def bottom_flag_step(self) -> Subspace:
-        return self.mod
-
-    def top_flag_step(self) -> Subspace:
-        return self.sub
-
-
-_LINSPACE_CACHE: dict = {}
-
-
-def linspace_between(vs: VSpace, sub: Subspace, mod: Subspace) -> LinSpace:
-    """A shared LinSpace instance for (vs, sub, mod); its internal caches
-    (vectors, basis, coordinates) then amortize across callers."""
-    key = (vs, sub, mod)
-    out = _LINSPACE_CACHE.get(key)
-    if out is None:
-        out = LinSpace(vs, sub, mod)
-        _LINSPACE_CACHE[key] = out
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,15 @@ Field elements serialize as little-endian coefficient lists over the prime
 field; integers are plain decimal.  Mark labels and component ids are
 encoded as strings: vectors as comma-joined digits (always containing a
 comma), the infinity label as "inf", integers as bare digits, and anything
-else through a JSON-in-string escape.  Every encoder has an exact inverse,
-so round trips are bit-identical.
+else through a JSON-in-string escape.  Every encoder but the output-only
+class-point one has an exact inverse, so round trips are bit-identical.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Tuple
 
-from . import curve, fern as fern_mod
+from . import curve
 from .curve import MarkedTree, ProjPoint
 from .fern import Fern, validate_fern
 from .gf import INF, ExtField, LinSpace, Subspace, VSpace, field_make
@@ -30,14 +29,6 @@ def field_from_json(data: dict) -> ExtField:
     if list(fld.modulus) != data["modulus"]:
         raise ValueError("modulus does not match the canonical choice")
     return fld
-
-
-def element_to_json(x) -> list:
-    return list(x.coeffs)
-
-
-def element_from_json(fld: ExtField, data) -> object:
-    return fld.element(data)
 
 
 def point_to_json(p: ProjPoint) -> list:
@@ -156,11 +147,9 @@ def fern_to_json(f: Fern) -> dict:
     return out
 
 
-def fern_from_json(data: dict, validate: bool = True):
+def fern_from_json(data: dict) -> Fern:
     tree = tree_from_json(data)
     space = space_from_json(tree.field, data["space"])
-    if not validate:
-        return tree, space
     return validate_fern(tree, space)
 
 
@@ -168,16 +157,6 @@ def classpoint_to_json(point) -> dict:
     return {w.key(): [list(x.coeffs) for x in values]
             for w, values in sorted(point.functionals.items(),
                                     key=lambda kv: (kv[0].dim, kv[0].key()))}
-
-
-def classpoint_from_json(space: LinSpace, data: dict):
-    from .universal import ClassPoint
-    functionals = {}
-    for key, values in data.items():
-        rows = [tuple(int(c) for c in row.split(",")) for row in key.split(";")]
-        w = Subspace.from_vectors(space.vs, rows)
-        functionals[w] = tuple(space.field.element(v) for v in values)
-    return ClassPoint(space, functionals)
 
 
 def dumps(data: dict) -> str:

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 from . import curve
 from .curve import MarkedTree, Mobius, ProjPoint
 from .fern import Fern, validate_fern
-from .gf import INF, ExtField, LinSpace, Subspace, VSpace, field_make
+from .gf import INF, ExtField, LinSpace, Subspace
 
 
 def random_field_element(fld: ExtField, rng: random.Random):
@@ -112,7 +112,7 @@ def injective_linear_marking(space: LinSpace, rng: random.Random,
         values = {}
         clash = False
         for v in space.vectors():
-            coords = space.coords_cached(v)
+            coords = space.coords(v)
             total = fld.zero
             for c, img in zip(coords, images):
                 if c:

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import curve, fern as fern_mod
-from .curve import Mobius, ProjPoint
+from .curve import ProjPoint
 from .fern import Fern, validate_fern
 from .gf import (INF, FieldElement, Flag, GroupElement, LinSpace, Subspace,
-                 VSpace, linspace_between)
+                 VSpace, adapted_basis)
 
 Vec = tuple
 BVec = tuple  # coordinates with respect to a chart basis
@@ -120,7 +120,8 @@ class Chart:
 
     ``basis`` is an ordered basis (b_1..b_n) of ``space``; the chart's
     complete flag has steps spanned by basis prefixes.  Coordinates of
-    vectors are taken in this basis.
+    vectors are taken in this basis, and ``coord_space`` does their
+    arithmetic.
     """
 
     def __init__(self, space: LinSpace, basis: Optional[Sequence[Vec]] = None):
@@ -128,6 +129,7 @@ class Chart:
         self.field = space.field
         self.n = space.dim
         self.q = space.q
+        self.coord_space = VSpace(space.field, space.dim)
         self.basis = tuple(space.reduce(b) for b in (basis or space.basis()))
         if len(self.basis) != self.n:
             raise ValueError("basis size must match the space dimension")
@@ -135,10 +137,9 @@ class Chart:
         for j in range(self.n + 1):
             steps.append(Subspace.from_vectors(
                 space.vs, list(space.mod.rows) + list(self.basis[:j])))
-        if steps[-1] != space.top_flag_step():
+        if steps[-1] != space.sub:
             raise ValueError("basis does not span the space")
         self.flag = Flag(tuple(steps))
-        self._coord_cache: Dict[Vec, BVec] = {}
 
     @classmethod
     def for_flag(cls, space: LinSpace, flag: Flag) -> "Chart":
@@ -147,24 +148,13 @@ class Chart:
             raise ValueError("flag does not run from the modulus to the space")
         if len(flag.steps) != space.dim + 1:
             raise ValueError("chart flags must be complete")
-        basis = []
-        for prev, step in zip(flag.steps, flag.steps[1:]):
-            row = next(r for r in step.rows if not prev.contains(r))
-            basis.append(space.reduce(row))
-        return cls(space, basis)
+        return cls(space, adapted_basis(flag))
 
     def to_coords(self, v: Vec) -> BVec:
-        out = self._coord_cache.get(v)
-        if out is None:
-            out = self.space.coords(self.space.reduce(v), self.basis)
-            self._coord_cache[v] = out
-        return out
+        return self.space.coords(v, self.basis)
 
     def from_coords(self, c: BVec) -> Vec:
-        v = self.space.vs.zero
-        for ci, b in zip(c, self.basis):
-            v = self.space.vs.add(v, self.space.vs.scale(ci, b))
-        return self.space.reduce(v)
+        return self.space.combine(c, self.basis)
 
     def flag_from_zero_indices(self, zeros: Iterable[int]) -> Flag:
         idx = sorted(set(zeros))
@@ -186,10 +176,6 @@ def standard_chart(space: LinSpace) -> Chart:
 # ---------------------------------------------------------------------------
 # Chart membership and chart points
 # ---------------------------------------------------------------------------
-
-def _coords_scale(field, c: int, x: FieldElement) -> FieldElement:
-    return field.scalar(c) * x
-
 
 def chart_contains(chart: Chart, t: Sequence[FieldElement],
                    flag: Optional[Flag] = None):
@@ -224,7 +210,7 @@ def chart_contains(chart: Chart, t: Sequence[FieldElement],
             total = fld.zero
             for c, val in zip(combo, prods):
                 if c:
-                    total = total + _coords_scale(fld, c, val)
+                    total = total + fld.scalar(c) * val
             if not total:
                 return False, None
     return True, chart.flag_from_zero_indices(zeros)
@@ -275,19 +261,6 @@ def _lev(c: BVec) -> int:
     return max((i + 1 for i, x in enumerate(c) if x), default=0)
 
 
-def _badd(field, u: BVec, v: BVec) -> BVec:
-    s = field.s_add
-    return tuple(s[a][b] for a, b in zip(u, v))
-
-
-def _bneg(field, v: BVec) -> BVec:
-    return tuple(field.s_neg[a] for a in v)
-
-
-def _bscale(field, c: int, v: BVec) -> BVec:
-    return tuple(field.s_mul[c][a] for a in v)
-
-
 def sigma_indices(cp: ChartPoint) -> List[Tuple[BVec, int]]:
     """The reduced indices (v, k): level k and v zero up to the k-th step."""
     iseq = cp.stratum_indices
@@ -315,10 +288,6 @@ def q_value(cp: ChartPoint, c: BVec, k: int) -> FieldElement:
     return total
 
 
-def _unit(n: int, pos: int) -> BVec:
-    return tuple(1 if j == pos - 1 else 0 for j in range(n))
-
-
 def component_constraint(cp: ChartPoint, free: Tuple[BVec, int],
                          idx: Tuple[BVec, int]) -> Optional[ProjPoint]:
     """What the (w, l)-component forces at the index (v, k); None if free.
@@ -333,7 +302,7 @@ def component_constraint(cp: ChartPoint, free: Tuple[BVec, int],
         return None
     fld = cp.chart.field
     ik = cp.stratum_indices[k]
-    diff = _badd(fld, v, _bneg(fld, w))
+    diff = cp.chart.coord_space.sub(v, w)
     if k > l and _lev(diff) <= ik:
         w_trunc = w[:ik] + (0,) * (cp.chart.n - ik)
         return ProjPoint(q_value(cp, w_trunc, ik), fld.one)
@@ -387,19 +356,19 @@ def section_assignment(cp: ChartPoint, u, g: Optional[GroupElement] = None
     coordinates, or the infinity label), optionally composed with the
     coordinate action of a group element on the full index set."""
     fld = cp.chart.field
-    n = cp.chart.n
+    cs = cp.chart.coord_space
     out = {}
     for (v, k) in sigma_indices(cp):
-        tv, tw = v, _unit(n, cp.stratum_indices[k])
+        tv, tw = v, cs.basis_vector(cp.stratum_indices[k])
         if g is not None:
             xi_inv = fld.s_inv[g.xi]
             gv = cp.chart.to_coords(g.v)
-            tv = _bscale(fld, xi_inv, _badd(fld, tv, _bneg(fld, gv)))
-            tw = _bscale(fld, xi_inv, tw)
+            tv = cs.scale(xi_inv, cs.sub(tv, gv))
+            tw = cs.scale(xi_inv, tw)
         if u == INF:
             out[(v, k)] = ProjPoint.infinity(fld)
         else:
-            out[(v, k)] = section_value(cp, _badd(fld, tv, _bneg(fld, u)), tw)
+            out[(v, k)] = section_value(cp, cs.sub(tv, u), tw)
     return out
 
 
@@ -420,7 +389,7 @@ def check_equations(cp: ChartPoint,
     Q^{i_l}_{b_{i_k}} X_{vk} Y_{v'k'} + Q^{i_l}_{v-v'} Y_{vk} Y_{v'k'}
       = Q^{i_l}_{b_{i_k'}} X_{v'k'} Y_{vk}.
     """
-    fld = cp.chart.field
+    cs = cp.chart.coord_space
     iseq = cp.stratum_indices
     idxs = sigma_indices(cp)
     m = len(iseq) - 1
@@ -432,13 +401,13 @@ def check_equations(cp: ChartPoint,
             for (v2, k2) in idxs:
                 if k2 > l:
                     continue
-                diff = _badd(fld, v, _bneg(fld, v2))
+                diff = cs.sub(v, v2)
                 if _lev(diff) > il:
                     continue
                 p1, p2 = assignment[(v, k)], assignment[(v2, k2)]
-                qa = q_value(cp, _unit(cp.chart.n, iseq[k]), il)
+                qa = q_value(cp, cs.basis_vector(iseq[k]), il)
                 qb = q_value(cp, diff, il)
-                qc = q_value(cp, _unit(cp.chart.n, iseq[k2]), il)
+                qc = q_value(cp, cs.basis_vector(iseq[k2]), il)
                 lhs = qa * p1.x * p2.y + qb * p1.y * p2.y
                 rhs = qc * p2.x * p1.y
                 if lhs != rhs:
@@ -475,7 +444,7 @@ def fiber(cp: ChartPoint) -> Fern:
         lo, hi = iseq[k - 1], iseq[k]
         for window in itertools.product(range(chart.q), repeat=hi - lo):
             u = (0,) * lo + window + (0,) * (chart.n - hi)
-            v2 = _badd(fld, v, u)
+            v2 = chart.coord_space.add(v, u)
             point = node_point(cp, (v, k), (v2, k - 1))
             nodes.append(curve.node(cid((v, k)), point[(v, k)],
                                     cid((v2, k - 1)), point[(v2, k - 1)]))
@@ -514,11 +483,10 @@ class ClassPoint:
     functionals: dict  # Subspace -> tuple of FieldElements
 
     def basis_of(self, w: Subspace) -> tuple:
-        return linspace_between(self.space.vs, w, self.space.mod).basis()
+        return self.space.subquotient(w).basis()
 
     def value(self, w: Subspace, v: Vec) -> FieldElement:
-        sub = linspace_between(self.space.vs, w, self.space.mod)
-        coords = sub.coords_cached(v)
+        coords = self.space.subquotient(w).coords(v)
         fld = self.space.field
         total = fld.zero
         for c, val in zip(coords, self.functionals[w]):
@@ -534,34 +502,20 @@ def canonical_functional(values: Sequence[FieldElement]) -> tuple:
     return tuple(x * inv for x in values)
 
 
-def subspace_line_values(f: Fern, w: Subspace) -> Dict[Vec, FieldElement]:
-    """Line values of the contraction to w, without re-validating the fern."""
-    space = f.space
-    if w == space.sub:
-        tree = f.tree
-        sub = space
-    else:
-        keep = [v for v in space.vectors() if w.contains(v)] + [INF]
-        tree = curve.contract(f.tree, keep).tree
-        sub = space.subquotient(w)
-    squashed = curve.contract_to_component(tree, INF).tree
-    pos = {v: squashed.marking[v][1] for v in sub.vectors()}
-    pos_inf = squashed.marking[INF][1]
-    anchor = next(v for v in sub.vectors()
-                  if squashed.marking[v][1] not in (pos[sub.zero], pos_inf))
-    coord = Mobius.to_standard(pos[sub.zero], pos[anchor], pos_inf)
-    return {v: coord.apply(p).affine_value() for v, p in pos.items()}
-
-
 def classify(f: Fern) -> ClassPoint:
     """The functional tuple of a fern: for each nonzero subspace, the line
-    values of the contraction to it, canonically scaled on its basis."""
+    values of the contraction to it, canonically scaled on its basis.  The
+    contracted trees are not re-validated."""
     space = f.space
     functionals = {}
     for d in range(1, space.dim + 1):
         for w in space.subspace_steps(d):
-            values = subspace_line_values(f, w)
-            sub = LinSpace(space.vs, w, space.mod)
+            tree = f.tree
+            if w != space.sub:
+                keep = [v for v in space.vectors() if w.contains(v)] + [INF]
+                tree = curve.contract(f.tree, keep).tree
+            sub = space.subquotient(w)
+            values = fern_mod._line_values(tree, sub, sub.zero, INF)
             functionals[w] = canonical_functional(
                 [values[b] for b in sub.basis()])
     return ClassPoint(space, functionals)
@@ -596,12 +550,12 @@ class CompatibilityChecker:
                      for w in space.subspace_steps(d)]
         self.pairs = []  # (small, big, small-basis coords in big's basis)
         for w_small in self.subs:
-            small = linspace_between(space.vs, w_small, space.mod)
+            small = space.subquotient(w_small)
             for w_big in self.subs:
                 if w_big.dim <= w_small.dim or not w_big.contains_subspace(w_small):
                     continue
-                big = linspace_between(space.vs, w_big, space.mod)
-                coords = tuple(big.coords_cached(b) for b in small.basis())
+                big = space.subquotient(w_big)
+                coords = tuple(big.coords(b) for b in small.basis())
                 self.pairs.append((w_small, w_big, coords))
 
     def _restrict(self, functionals, w_big, coords):
@@ -642,15 +596,11 @@ class CompatibilityChecker:
         return True
 
 
-_CHECKER_CACHE: Dict[LinSpace, CompatibilityChecker] = {}
-
-
 def compatibility_checker(space: LinSpace) -> CompatibilityChecker:
-    out = _CHECKER_CACHE.get(space)
-    if out is None:
-        out = CompatibilityChecker(space)
-        _CHECKER_CACHE[space] = out
-    return out
+    """The checker of a space, built on first use and kept on the space."""
+    if space.checker is None:
+        space.checker = CompatibilityChecker(space)
+    return space.checker
 
 
 def bv_member(point: ClassPoint) -> bool:
@@ -670,7 +620,7 @@ def uf_member(point: ClassPoint, flag: Flag) -> bool:
 def functional_candidates(space: LinSpace, w: Subspace) -> List[tuple]:
     """All canonically scaled nonzero functional classes on a subspace."""
     fld = space.field
-    d = linspace_between(space.vs, w, space.mod).dim
+    d = space.subquotient(w).dim
     out = []
     for last in range(d):
         for packed in itertools.product(range(fld.order), repeat=last):

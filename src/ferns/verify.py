@@ -7,22 +7,21 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List
 
 from . import census as census_mod
-from . import curve, universal
-from .curve import ProjPoint
-from .fern import (contract_fern, drinfeld_psi, fern_violations, graft,
-                   line_data, reciprocal_data, validate_fern)
+from . import curve
+from .fern import (contract_fern, drinfeld_psi, fern_violations, line_data,
+                   reciprocal_data)
 from .gf import (INF, LinSpace, Subspace, VSpace, field_make, group_elements)
 from .rand import (injective_linear_marking, random_pipeline_fern,
                    random_stable_tree)
 from .universal import (Chart, chart_coords, chart_point, chart_points,
-                        check_equations, classify, fiber, section_assignment,
-                        standard_chart)
+                        check_equations, classify, fiber, section_assignment)
 
 
 @dataclass
@@ -120,20 +119,22 @@ PIPELINE_CONFIGS = [(1, 2, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2),
                     (1, 3, 1), (2, 3, 1), (2, 3, 2), (3, 3, 1)]
 
 
-def _pipeline_ferns(count: int, seed: int):
+def _pipeline_ferns(count: int, seed: int) -> list:
+    """(fern, build log) pairs from seeded random pipelines."""
     rng = random.Random(seed)
+    out = []
     for i in range(count):
         n, q, m = PIPELINE_CONFIGS[i % len(PIPELINE_CONFIGS)]
-        fern, log = random_pipeline_fern(_space(n, q, m), rng)
-        yield fern, log
+        out.append(random_pipeline_fern(_space(n, q, m), rng))
+    return out
 
 
-def criterion_graft_axioms(count: int = 200, seed: int = 0) -> str:
+def criterion_graft_axioms(ferns: list, seed: int = 0) -> str:
     """Randomly built and contracted ferns validate, and every contraction
     is flag-compatible."""
     rng = random.Random(seed + 1)
     checked = 0
-    for fern, log in _pipeline_ferns(count, seed):
+    for fern, log in ferns:
         violations = fern_violations(fern.tree, fern.space)
         if violations:
             raise AssertionError(f"pipeline {log} invalid: {violations}")
@@ -190,7 +191,8 @@ def criterion_drinfeld(count: int = 50, seed: int = 0) -> str:
         space = _space(n, q, m)
         fld = space.field
         lam = injective_linear_marking(space, rng)
-        assert lam is not None
+        if lam is None:
+            raise AssertionError(f"no injective marking found at trial {i}")
         # oracle: expand prod (x - lambda_v) and scan the exponents
         coeffs = expand_root_product(fld, [lam[v] for v in space.vectors()])
         qpowers = {q ** j for j in range(n + 1)}
@@ -207,10 +209,10 @@ def criterion_drinfeld(count: int = 50, seed: int = 0) -> str:
     return f"{count} additive polynomials verified"
 
 
-def criterion_reciprocal(count: int = 200, seed: int = 0) -> str:
+def criterion_reciprocal(ferns: list) -> str:
     """Reciprocal axioms for the pipeline ferns; inverse values on smooth ones."""
     checked = 0
-    for fern, log in _pipeline_ferns(count, seed):
+    for fern, log in ferns:
         rd = reciprocal_data(fern)
         space = fern.space
         fld = space.field
@@ -271,13 +273,17 @@ def invariant_field_axioms(seed: int = 0) -> str:
         els = fld.elements()
         for _ in range(1000):
             a, b, c = (rng.choice(els) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            if a:
-                assert a * a.inverse() == fld.one
+            if (a + b) + c != a + (b + c):
+                raise AssertionError(f"addition is not associative in {fld}")
+            if (a * b) * c != a * (b * c):
+                raise AssertionError(f"multiplication is not associative in {fld}")
+            if a * (b + c) != a * b + a * c:
+                raise AssertionError(f"distributivity fails in {fld}")
+            if a and a * a.inverse() != fld.one:
+                raise AssertionError(f"a * a^-1 != 1 in {fld}")
         fixed = {x.coeffs for x in els if fld.frobenius(x) == x}
-        assert fixed == {fld.scalars[i].coeffs for i in range(fld.q)}
+        if fixed != {fld.scalars[i].coeffs for i in range(fld.q)}:
+            raise AssertionError(f"Frobenius fixed points are not F_q in {fld}")
     return "field axioms and Frobenius fixed subfield hold"
 
 
@@ -288,8 +294,10 @@ def invariant_subspace_counts() -> str:
         vs = VSpace(field_make(p, e, 1), n)
         for d in range(n + 1):
             subs = subspaces(vs, d)
-            assert len(subs) == len(set(subs)) == gaussian_binomial(n, d, q)
-        assert len(flags(vs)) == len(_all_chains(vs))
+            if not len(subs) == len(set(subs)) == gaussian_binomial(n, d, q):
+                raise AssertionError(f"{d}-subspaces of F_{q}^{n} miscounted")
+        if len(flags(vs)) != len(_all_chains(vs)):
+            raise AssertionError(f"flags of F_{q}^{n} miscounted")
     return "subspace and flag enumerations match their oracles"
 
 
@@ -328,11 +336,13 @@ def invariant_group_laws() -> str:
         G = group_elements(space)
         ident = GroupElement.identity(space)
         for a in G:
-            assert group_mul(a, group_inv(a)) == ident
+            if group_mul(a, group_inv(a)) != ident:
+                raise AssertionError(f"a * a^-1 is not the identity for {a}")
             for b in G:
                 for w in list(space.vectors()) + [INF]:
-                    assert group_act(group_mul(a, b), w) == \
-                        group_act(a, group_act(b, w))
+                    if group_act(group_mul(a, b), w) != \
+                            group_act(a, group_act(b, w)):
+                        raise AssertionError(f"(ab).w != a.(b.w) for {a}, {b}")
     return "group laws and the left action hold exhaustively"
 
 
@@ -344,7 +354,8 @@ def invariant_fern_uniqueness_dim1(seed: int = 0) -> str:
         space = _space(1, q, m)
         ferns = [random_fern(space, rng) for _ in range(5)]
         for other in ferns[1:]:
-            assert curve.are_isomorphic(ferns[0].tree, other.tree) is not None
+            if curve.are_isomorphic(ferns[0].tree, other.tree) is None:
+                raise AssertionError(f"two dimension-1 ferns differ, q={q} m={m}")
     return "dimension-1 ferns are unique up to isomorphism"
 
 
@@ -373,15 +384,17 @@ def invariant_census_sweep(limit: int = 256) -> str:
 def run_all(seed: int = 0, quick: bool = False) -> List[CheckResult]:
     count = 40 if quick else 200
     dcount = 20 if quick else 50
+    # built once, by whichever of the two checks that share them runs first
+    ferns = functools.cache(lambda: _pipeline_ferns(count, seed))
     checks = [
         ("census agreement", criterion_census),
         ("main theorem round trip", criterion_roundtrip),
         ("contraction compatibility", criterion_contraction_compat),
         ("fern axioms under grafting",
-         lambda: criterion_graft_axioms(count, seed)),
+         lambda: criterion_graft_axioms(ferns(), seed)),
         ("stabilize/contract algebra", lambda: criterion_knudsen(count, seed)),
         ("additive polynomial shape", lambda: criterion_drinfeld(dcount, seed)),
-        ("reciprocal axioms", lambda: criterion_reciprocal(count, seed)),
+        ("reciprocal axioms", lambda: criterion_reciprocal(ferns())),
         ("equation equivariance", criterion_equivariance),
         ("field axioms", lambda: invariant_field_axioms(seed)),
         ("subspace enumeration", invariant_subspace_counts),

@@ -18,7 +18,7 @@ def linear_marking_tree(fld, sp, images):
     """Single line with the linear marking determined by basis images."""
     marking = {}
     for v in sp.vectors():
-        coords = sp.coords_cached(v)
+        coords = sp.coords(v)
         total = fld.zero
         for c, img in zip(coords, images):
             if c:

@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ferns import curve
 from ferns.curve import ProjPoint
@@ -281,6 +284,17 @@ def test_classify_smooth_restrictions_of_global_datum(rng):
         for i in range(len(basis)):
             for j in range(len(basis)):
                 assert values[i] * lam[j] == values[j] * lam[i]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(1, 2, 1), (2, 2, 1), (2, 2, 2), (2, 3, 1), (3, 2, 1)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_classify_whole_space_is_line_data_on_basis(config, seed):
+    f, _ = random_pipeline_fern(space(*config), random.Random(seed))
+    ld = line_data(f)
+    top = f.space.sub
+    assert classify(f).functionals[top] == tuple(
+        ld.values[b] for b in f.space.basis())
 
 
 def test_classify_roundtrip_exact():
