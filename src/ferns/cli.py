@@ -7,8 +7,9 @@ its invocation record; the record is echoed into each JSON artifact.
 
 Exit codes: 0 success, 1 property failure, 2 malformed input.  Malformed
 input includes parameters a constructor rejects (a non-prime p, a q that
-is not a prime power, n or m below one, a chart basis that does not span)
-and a census whose brute-force oracle would exceed ``--budget``.
+is not a prime power, n or m below one, a field larger than the table
+limit, a chart basis that does not span) and a census whose brute-force
+oracle would exceed ``--budget``.
 """
 
 from __future__ import annotations

@@ -2,11 +2,15 @@
 built on top of them.
 
 A field F_{q^m} with q = p^e is realized as F_p[x]/(f) for a canonical
-irreducible f of degree e*m.  Every element is an immutable coefficient
-tuple, so elements hash and compare exactly and are safe to share between
-threads.  The field object also carries the embedded copy of F_q (the
-subfield fixed by x -> x^q) together with integer-indexed scalar tables,
-which is what the vector-space layer uses for coordinates.
+irreducible f of degree e*m.  Every element is an immutable, interned
+coefficient tuple, so elements hash and compare exactly and are safe to
+share between threads.  There is one arithmetic path for every field:
+log/antilog tables over a primitive element, with Zech logarithms for
+addition, built once per field in O(order) time and memory.  Fields whose
+order or q^2 exceeds ``_TABLE_LIMIT`` (2^16) are rejected with ValueError.
+The field object also carries the embedded copy of F_q (the subfield fixed
+by x -> x^q) together with integer-indexed scalar tables, which is what the
+vector-space layer uses for coordinates.
 
 On top of the scalars this module provides:
 
@@ -46,12 +50,6 @@ def _trim(c: Sequence[int]) -> Coeffs:
     return tuple(c[:i])
 
 
-def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
-
-
 def _poly_mul(a, b, p):
     if not a or not b:
         return ()
@@ -76,20 +74,6 @@ def _poly_divmod(a, b, p):
             for j, bj in enumerate(b):
                 a[i + j] = (a[i + j] - c * bj) % p
     return _trim(q), _trim(a)
-
-
-def _poly_ext_inv(a, f, p):
-    # inverse of a modulo f via extended Euclid
-    r0, r1 = tuple(f), _trim(a)
-    s0, s1 = (), (1,)
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_add(s0, _poly_mul((p - 1,), _poly_mul(q, s1, p), p), p)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    c = pow(r0[0], p - 2, p)
-    return _poly_divmod(_poly_mul(s0, (c,), p), f, p)[1]
 
 
 def is_irreducible(f: Sequence[int], p: int) -> bool:
@@ -138,64 +122,27 @@ def canonical_modulus(p: int, d: int) -> Coeffs:
     raise AssertionError("no irreducible polynomial found (internal bug)")
 
 
+def _prime_factors(n: int) -> list:
+    """The distinct prime factors of n >= 1, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
-# ---------------------------------------------------------------------------
-# Lazy stand-ins for scalar tables (used when the subfield is large)
-# ---------------------------------------------------------------------------
-
-class _Lazy2D:
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __getitem__(self, a):
-        return _Lazy2DRow(self.fn, a)
-
-
-class _Lazy2DRow:
-    __slots__ = ("fn", "a")
-
-    def __init__(self, fn, a):
-        self.fn = fn
-        self.a = a
-
-    def __getitem__(self, b):
-        return self.fn(self.a, b)
-
-
-class _Lazy1D:
-    __slots__ = ("fn", "size")
-
-    def __init__(self, fn, size):
-        self.fn = fn
-        self.size = size
-
-    def __getitem__(self, a):
-        return self.fn(a)
-
-    def __len__(self):
-        return self.size
-
-    def __iter__(self):
-        return (self.fn(a) for a in range(self.size))
-
-
-#: Largest subfield for which scalar tables are materialized eagerly.
-_EAGER_TABLE_LIMIT = 512
-
-#: Largest field whose element arithmetic runs on packed-int tables.
-_ELEMENT_TABLE_LIMIT = 64
+#: Bound on every table a field builds: the field order (log, antilog and
+#: Zech tables, interned elements) and q^2 (the F_q scalar tables).
+_TABLE_LIMIT = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -205,40 +152,38 @@ _ELEMENT_TABLE_LIMIT = 64
 class FieldElement:
     """An element of an :class:`ExtField`, stored as a residue mod the modulus.
 
-    Small fields run their arithmetic on packed-int tables; larger ones
-    fall back to polynomial arithmetic on the coefficient tuples.
+    Elements are interned: the field holds exactly one object per packed
+    value ``pk``, so equality and hashing are by identity.  Each nonzero
+    element carries its discrete log ``lg`` (None for zero), and all
+    arithmetic is lookup in the field's ``exp`` and ``zech`` tables: O(1)
+    in every field up to order ``_TABLE_LIMIT``.
     """
 
-    __slots__ = ("field", "coeffs", "pk")
+    __slots__ = ("field", "coeffs", "pk", "lg")
 
-    def __init__(self, field: "ExtField", coeffs: Coeffs):
+    def __init__(self, field: "ExtField", coeffs: Coeffs, pk: int):
         self.field = field
         self.coeffs = coeffs
-        self.pk = _pack(coeffs, field.p)
+        self.pk = pk
+        self.lg = None
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldElement) and self.field is other.field
-                and self.pk == other.pk)
-
-    def __hash__(self):
-        return hash((id(self.field), self.pk))
+        return bool(self.pk)
 
     def __add__(self, other):
+        # a + b = a * (1 + b/a) = g^(log a + Z(log b - log a))
         self._check(other)
+        if not self.pk:
+            return other
+        if not other.pk:
+            return self
         f = self.field
-        if f.add_tab is not None:
-            return f.interned[f.add_tab[self.pk][other.pk]]
-        return f.element(_poly_add(self.coeffs, other.coeffs, f.p))
+        z = f.zech[other.lg - self.lg]
+        return f.zero if z is None else f.exp[self.lg + z]
 
     def __neg__(self):
         f = self.field
-        if f.neg_tab is not None:
-            return f.interned[f.neg_tab[self.pk]]
-        p = f.p
-        return f.element(tuple((p - c) % p for c in self.coeffs))
+        return f.exp[self.lg + f.log_neg_one] if self.pk else self
 
     def __sub__(self, other):
         return self + (-other)
@@ -246,33 +191,26 @@ class FieldElement:
     def __mul__(self, other):
         self._check(other)
         f = self.field
-        if f.mul_tab is not None:
-            return f.interned[f.mul_tab[self.pk][other.pk]]
-        prod = _poly_mul(self.coeffs, other.coeffs, f.p)
-        return f.element(_poly_divmod(prod, f.modulus, f.p)[1])
+        if self.pk and other.pk:
+            return f.exp[self.lg + other.lg]
+        return f.zero
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def __pow__(self, k: int):
         f = self.field
+        if self.pk:
+            return f.exp[self.lg * k % f.units]
         if k < 0:
-            return self.inverse() ** (-k)
-        result, base = f.one, self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+            raise ZeroDivisionError("inverse of zero")
+        return f.one if k == 0 else self
 
     def inverse(self) -> "FieldElement":
         if not self.pk:
             raise ZeroDivisionError("inverse of zero")
         f = self.field
-        if f.inv_tab is not None:
-            return f.interned[f.inv_tab[self.pk]]
-        return f.element(_poly_ext_inv(self.coeffs, f.modulus, f.p))
+        return f.exp[f.units - self.lg]
 
     def packed(self) -> int:
         """Integer encoding sum(c_i * p^i); defines the canonical element order."""
@@ -289,47 +227,70 @@ class FieldElement:
 class ExtField:
     """The finite field F_{q^m} with q = p^e, as F_p[x]/(canonical modulus).
 
+    Built once, at construction, from the smallest primitive element g
+    (tested against the prime factors of units = order - 1): the interned
+    elements in packed order, each with its log ``lg``; ``exp``, g^i for
+    i < 2 * units, so a sum of two logs needs no reduction; and ``zech``,
+    i -> log(1 + g^i) or None where 1 + g^i = 0, whose negative indices
+    wrap as exponents live mod units.  Fields whose order or q^2 exceeds
+    ``_TABLE_LIMIT`` are rejected with ValueError.
+
     Carries the canonical embedding of F_q: ``scalars[i]`` is the image of
     the i-th element of F_q (in packed order), and the s_* tables give F_q
     arithmetic on those integer indices.
     """
 
     def __init__(self, p: int, e: int, m: int):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if e < 1 or m < 1:
             raise ValueError("e and m must be >= 1")
+        # e * m at or past the limit's bit length already means order > limit
+        if p >= 2 and (e * m >= _TABLE_LIMIT.bit_length()
+                       or max(p ** (e * m), p ** (2 * e)) > _TABLE_LIMIT):
+            raise ValueError(
+                f"GF({p}^{e * m}) with q = {p}^{e} is larger than the table "
+                f"limit: the order and q^2 must be at most {_TABLE_LIMIT}")
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         self.p, self.e, self.m = p, e, m
         self.q = p ** e
         self.order = self.q ** m
+        self.units = self.order - 1
         self.degree = e * m
         self.modulus = canonical_modulus(p, self.degree)
-        self.add_tab = self.mul_tab = self.neg_tab = self.inv_tab = None
-        self.interned: Optional[tuple] = None
-        self.zero = FieldElement(self, ())
-        self.one = FieldElement(self, (1,))
-        self._elements: Optional[tuple] = None
-        if self.order <= _ELEMENT_TABLE_LIMIT:
-            self._build_element_tables()
+        self.interned = tuple(
+            FieldElement(self, _trim(c[::-1]), k)
+            for k, c in enumerate(itertools.product(range(p), repeat=self.degree)))
+        self.zero, self.one = self.interned[0], self.interned[1]
+        self._build_tables()
         self._init_scalars()
 
-    def _build_element_tables(self):
-        p, f = self.p, self.modulus
-        coeff_of = [_trim(_unpack(k, self.degree, p)) for k in range(self.order)]
-        self.interned = tuple(FieldElement(self, c) for c in coeff_of)
+    def _build_tables(self):
+        p, f, units = self.p, self.modulus, self.units
 
-        def mul(a, b):
-            return _pack(_poly_divmod(_poly_mul(a, b, p), f, p)[1], p)
+        def mulmod(a, b):
+            return _poly_divmod(_poly_mul(a, b, p), f, p)[1]
 
-        self.add_tab = [[_pack(_poly_add(a, b, p), p) for b in coeff_of]
-                        for a in coeff_of]
-        self.mul_tab = [[mul(a, b) for b in coeff_of] for a in coeff_of]
-        self.neg_tab = [_pack(tuple((p - c) % p for c in a), p) for a in coeff_of]
-        inv = [0] * self.order
-        for a in range(1, self.order):
-            inv[a] = next(b for b in range(1, self.order)
-                          if self.mul_tab[a][b] == 1)
-        self.inv_tab = inv
+        def power(a, k):
+            out = (1,)
+            while k:
+                if k & 1:
+                    out = mulmod(out, a)
+                a, k = mulmod(a, a), k >> 1
+            return out
+
+        factors = _prime_factors(units)
+        gen = next(x.coeffs for x in self.interned[1:]
+                   if all(power(x.coeffs, units // r) != (1,) for r in factors))
+        els, exp, x = self.interned, [], (1,)
+        for i in range(units):
+            exp.append(els[_pack(x, p)])
+            exp[i].lg = i
+            x = mulmod(x, gen)
+        self.exp = exp * 2
+        self.log_neg_one = els[p - 1].lg
+        # 1 + g^i differs from g^i only in the constant digit; zero has lg None
+        self.zech = [els[k - k % p + (k + 1) % p].lg
+                     for k in (el.pk for el in exp)]
 
     # -- construction ------------------------------------------------------
 
@@ -337,25 +298,15 @@ class ExtField:
         c = _trim([x % self.p for x in coeffs])
         if len(c) > self.degree:
             c = _poly_divmod(c, self.modulus, self.p)[1]
-        if self.interned is not None:
-            return self.interned[_pack(c, self.p)]
-        return FieldElement(self, c)
+        return self.interned[_pack(c, self.p)]
 
     def from_int(self, k: int) -> FieldElement:
         if not 0 <= k < self.order:
             raise ValueError("packed value out of range")
-        if self.interned is not None:
-            return self.interned[k]
-        return FieldElement(self, _trim(_unpack(k, self.degree, self.p)))
+        return self.interned[k]
 
     def elements(self) -> tuple:
-        if self._elements is None:
-            if self.interned is not None:
-                self._elements = self.interned
-            else:
-                self._elements = tuple(self.from_int(k)
-                                       for k in range(self.order))
-        return self._elements
+        return self.interned
 
     def frobenius(self, x: FieldElement) -> FieldElement:
         return x ** self.q
@@ -370,51 +321,22 @@ class ExtField:
     # -- the embedded F_q ----------------------------------------------------
 
     def _init_scalars(self):
-        p, e, q = self.p, self.e, self.q
-        if e == 1:
-            embed = lambda i: self.element((i,))
-            sc_add = lambda a, b: (a + b) % p
-            sc_mul = lambda a, b: (a * b) % p
-            sc_neg = lambda a: (p - a) % p
-            sc_inv = lambda a: pow(a, p - 2, p) if a else None
+        if self.m == 1:
+            base = self
+            self.scalars = self.interned
         else:
             # base field F_q on its own canonical modulus g, embedded via the
-            # canonically smallest root of g inside this field
-            base = self if self.m == 1 else _base_field(p, e)
-            if self.m == 1:
-                root = self.element((0, 1))  # g is this field's own modulus
-            else:
-                base_mod = base.modulus
-                root = next(x for x in self.elements()
-                            if not self._eval_base(base_mod, x))
-            powers = [self.one]
-            for _ in range(e - 1):
-                powers.append(powers[-1] * root)
-
-            def embed(k):
-                acc = self.zero
-                for d, w in zip(_unpack(k, e, p), powers):
-                    if d:
-                        acc = acc + self.element((d,)) * w
-                return acc
-
-            sc_add = lambda a, b: (base.from_int(a) + base.from_int(b)).packed()
-            sc_mul = lambda a, b: (base.from_int(a) * base.from_int(b)).packed()
-            sc_neg = lambda a: (-base.from_int(a)).packed()
-            sc_inv = lambda a: base.from_int(a).inverse().packed() if a else None
-
-        if q <= _EAGER_TABLE_LIMIT:
-            self.scalars = tuple(embed(i) for i in range(q))
-            self.s_add = [[sc_add(i, j) for j in range(q)] for i in range(q)]
-            self.s_mul = [[sc_mul(i, j) for j in range(q)] for i in range(q)]
-            self.s_neg = [sc_neg(i) for i in range(q)]
-            self.s_inv = [sc_inv(i) for i in range(q)]
-        else:
-            self.scalars = _Lazy1D(embed, q)
-            self.s_add = _Lazy2D(sc_add)
-            self.s_mul = _Lazy2D(sc_mul)
-            self.s_neg = _Lazy1D(sc_neg, q)
-            self.s_inv = _Lazy1D(sc_inv, q)
+            # canonically smallest root of g inside this field (0 when e = 1)
+            base = field_make(self.p, self.e)
+            root = next(x for x in self.interned
+                        if not self._eval_base(base.modulus, x))
+            self.scalars = tuple(self._eval_base(b.coeffs, root)
+                                 for b in base.interned)
+        els = base.interned
+        self.s_add = [[(a + b).pk for b in els] for a in els]
+        self.s_mul = [[(a * b).pk for b in els] for a in els]
+        self.s_neg = [(-a).pk for a in els]
+        self.s_inv = [a.inverse().pk if a else None for a in els]
 
     def _eval_base(self, poly: Coeffs, x: FieldElement) -> FieldElement:
         acc = self.zero
@@ -425,11 +347,6 @@ class ExtField:
     def scalar(self, i: int) -> FieldElement:
         """The embedded image in F_{q^m} of the i-th element of F_q."""
         return self.scalars[i]
-
-
-@lru_cache(maxsize=None)
-def _base_field(p: int, e: int) -> "ExtField":
-    return ExtField(p, e, 1)
 
 
 @lru_cache(maxsize=None)

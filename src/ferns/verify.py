@@ -268,7 +268,7 @@ def criterion_equivariance() -> str:
 def invariant_field_axioms(seed: int = 0) -> str:
     rng = random.Random(seed + 4)
     for p, e, m in [(2, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 1), (2, 2, 2),
-                    (5, 1, 1), (3, 1, 3)]:
+                    (5, 1, 1), (3, 1, 3), (2, 1, 8), (3, 1, 4), (2, 4, 2)]:
         fld = field_make(p, e, m)
         els = fld.elements()
         for _ in range(1000):

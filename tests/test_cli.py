@@ -23,6 +23,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
     "fiber_q3_zero": "fiber --p 3 --n 2 --t 0",
     "fiber_gf4_basis": "fiber --p 2 --m 2 --n 3 --t 0;0,1 --basis 0,0,1;0,1,0;1,1,0",
+    "fiber_gf256_n2": "fiber --p 2 --m 8 --n 2 --t 0",
+    "fiber_gf81_n3": "fiber --p 3 --m 4 --n 3 --t 0;0",
     "classify_gf4_n3": "classify --in inputs/gf4_n3.json",
     "classify_gf2_n3": "classify --in inputs/gf2_n3.json",
     "classify_smooth": "classify --in inputs/gf4_n2_smooth.json",
@@ -63,6 +65,8 @@ def test_golden_output(name, monkeypatch):
     "fiber --p 4 --n 2",
     "fiber --p 2 --n 2 --basis 1,0;1,0",
     "fiber --p 2 --n 2 --basis 1,x",
+    "fiber --p 2 --e 9 --n 1",
+    "fiber --p 2 --m 17 --n 2 --t 1,1",
 ])
 def test_malformed_parameters_exit_2(argv):
     code, out, err = run_cli(argv.split())

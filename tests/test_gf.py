@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +50,8 @@ def test_field_make_rejects_composite_p():
 
 
 _FIELDS = [(2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 1), (3, 1, 2),
-           (2, 2, 1), (2, 2, 2), (5, 1, 1)]
+           (2, 2, 1), (2, 2, 2), (5, 1, 1), (2, 1, 8), (3, 1, 4), (2, 4, 2),
+           (2, 8, 1)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -82,6 +85,48 @@ def test_embedding_is_a_homomorphism(params):
             assert fld.scalar(fld.s_add[i][j]) == fld.scalar(i) + fld.scalar(j)
             assert fld.scalar(fld.s_mul[i][j]) == fld.scalar(i) * fld.scalar(j)
     assert fld.scalar(0) == fld.zero and fld.scalar(1) == fld.one
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 9, 1), (2, 1, 17), (3, 1, 11),
+                                   (257, 1, 1), (2, 1, 10 ** 9)])
+def test_fields_past_the_table_limit_are_rejected_fast(p, e, m):
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="table limit"):
+        field_make(p, e, m)
+    assert time.monotonic() - start < 0.1
+
+
+# Arithmetic against sympy's polynomials over F_p, which share no code with
+# the log/Zech tables.  sympy coefficient lists are big-endian.
+_ORACLE_FIELDS = [(2, 1, 8), (3, 1, 4), (5, 1, 3), (2, 1, 12), (2, 1, 16)]
+
+
+@pytest.mark.parametrize("p,e,m", _ORACLE_FIELDS)
+def test_arithmetic_matches_sympy(p, e, m):
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    fld = field_make(p, e, m)
+    mod = list(reversed(fld.modulus))
+    assert gt.gf_irreducible_p(mod, p, ZZ)
+
+    def big(x):
+        return list(reversed(x.coeffs))
+
+    def el(coeffs):
+        return fld.element(reversed(coeffs))
+
+    rng = random.Random(p * 100 + m)
+    for _ in range(300):
+        a, b = (fld.from_int(rng.randrange(fld.order)) for _ in range(2))
+        assert a * b == el(gt.gf_rem(gt.gf_mul(big(a), big(b), p, ZZ),
+                                     mod, p, ZZ))
+        assert a + b == el(gt.gf_add(big(a), big(b), p, ZZ))
+        assert -a == el(gt.gf_neg(big(a), p, ZZ))
+        assert a - b == el(gt.gf_sub(big(a), big(b), p, ZZ))
+        if a:
+            s, _, g = gt.gf_gcdex(big(a), mod, p, ZZ)
+            assert g == [1]
+            assert a.inverse() == el(s)
 
 
 def test_element_json_identity_order():

@@ -1,0 +1,37 @@
+"""The paper-level checks of ``ferns verify`` at quick size.
+
+Each check raises on a failure and returns its detail text on success, so
+calling it is the test; the detail text is pinned as ``ferns verify``
+prints it.
+"""
+
+import pytest
+
+from ferns import verify
+
+
+def test_census_cases_are_the_papers_counts():
+    # (n, q, m) -> number of F_{q^m}-points of the compactified period domain
+    assert verify.CENSUS_CASES == [((1, 2, 1), 1), ((2, 2, 1), 3),
+                                   ((2, 2, 2), 5), ((2, 3, 1), 4),
+                                   ((3, 2, 1), 21)]
+
+
+@pytest.mark.parametrize("check,detail", [
+    (verify.criterion_census, "5 configurations agree with the oracle"),
+    (verify.invariant_field_axioms,
+     "field axioms and Frobenius fixed subfield hold"),
+    (verify.invariant_subspace_counts,
+     "subspace and flag enumerations match their oracles"),
+    (verify.invariant_group_laws,
+     "group laws and the left action hold exhaustively"),
+    (verify.invariant_fern_uniqueness_dim1,
+     "dimension-1 ferns are unique up to isomorphism"),
+    (lambda: verify.criterion_knudsen(40, 0),
+     "40 stabilization and contraction identities hold"),
+    (lambda: verify.invariant_census_sweep(64),
+     "closed-form count confirmed on 54 configurations"),
+], ids=["census", "field_axioms", "subspace_counts", "group_laws",
+        "fern_uniqueness_dim1", "knudsen", "census_sweep"])
+def test_quick_check_passes(check, detail):
+    assert check() == detail
