@@ -5,11 +5,16 @@ verify.  Everything reads and writes JSON (CSV for census tables), field
 elements travel as coefficient lists, and every run is reproducible from
 its invocation record; the record is echoed into each JSON artifact.
 
-Exit codes: 0 success, 1 property failure, 2 malformed input.  Malformed
-input includes parameters a constructor rejects (a non-prime p, a q that
-is not a prime power, n or m below one, a field larger than the table
-limit, a chart basis that does not span) and a census whose brute-force
-oracle would exceed ``--budget``.
+Exit codes: 0 success, 1 property failure, 2 malformed input, 3 internal
+error.  A property failure is a failed guard (``AssertionError``), a tree
+that violates the fern axioms (``InvalidFern``), or a census or round trip
+that disagrees with its oracle.  Malformed input includes parameters a
+constructor rejects (a non-prime p, a q that is not a prime power, n or m
+below one, a field larger than the table limit, a chart basis that does
+not span, a subspace that is not a step of the fern's space or not a
+complement) and a census whose brute-force oracle would exceed
+``--budget``.  Any other exception is an internal error, reported on
+standard error with an ``internal error:`` prefix.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ def _checked(build, *args):
     raises for a bad parameter is malformed input."""
     try:
         return build(*args)
+    except InvalidFern:
+        raise  # a property failure: exit code 1
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -211,7 +218,7 @@ def cmd_roundtrip(args) -> int:
 def cmd_contract(args) -> int:
     fern = _load_fern(args.infile)
     w = _parse_subspace(fern.space.vs, args.subspace)
-    result = contract_fern(fern, w)
+    result = _checked(contract_fern, fern, w)
     _emit(args, jsonio.fern_to_json(result), _invocation(args))
     return 0
 
@@ -220,7 +227,7 @@ def cmd_graft(args) -> int:
     sub_fern = _load_fern(args.sub)
     quot_fern = _load_fern(args.quot)
     complement = _parse_subspace(sub_fern.space.vs, args.complement)
-    result = graft(sub_fern, quot_fern, complement)
+    result = _checked(graft, sub_fern, quot_fern, complement)
     _emit(args, jsonio.fern_to_json(result), _invocation(args))
     return 0
 
@@ -335,9 +342,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # noqa: BLE001 - property failures exit 1
+    except (AssertionError, InvalidFern) as exc:
         print(f"failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # noqa: BLE001 - anything else is a bug
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

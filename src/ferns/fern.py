@@ -4,10 +4,14 @@ at infinity, carrying a compatible action of G = V x| F_q^*.
 The action itself is never stored.  Morphisms of stable marked trees are
 unique, so the automorphism attached to a group element (v, xi) is exactly
 the isomorphism from the tree to itself with the marking composed with
-w -> xi*w + v; validation searches for it and caches the results.  The
-chain of components joining the 0-mark to the infinity-mark yields the
-associated flag: step i is the stabilizer of the i-th chain component
-under translations.
+w -> xi*w + v, and these automorphisms compose like the group elements.
+Validation therefore searches only for the automorphisms of the n basis
+translations and, for q > 2, of one primitive scalar, and derives every
+translation's component permutation by composition.  When one of these
+searches fails, it scans all of G, so that the violations name every
+group element without an automorphism.  The chain of components joining
+the 0-mark to the infinity-mark yields the associated flag: step i is the
+stabilizer of the i-th chain component under translations.
 
 Derived data:
 
@@ -50,13 +54,14 @@ def remarked(tree: MarkedTree, space: LinSpace, g: GroupElement) -> MarkedTree:
 
 @dataclass(frozen=True)
 class Fern:
-    """A validated fern: the tree, its space, and cached derived data."""
+    """A validated fern: the tree, its space, the chain of components from
+    the 0-mark to the infinity mark, and the associated flag, read off the
+    automorphisms of the generators of G at validation."""
 
     tree: MarkedTree
     space: LinSpace
     chain: Tuple  # component ids from the 0-component to the inf-component
     flag: Flag
-    translations: dict  # (v, xi) -> Correspondence realizing the remarking
 
     def is_smooth(self) -> bool:
         return len(self.chain) == 1
@@ -78,57 +83,150 @@ def fern_violations(tree: MarkedTree, space: LinSpace) -> List[str]:
     Checks, in order: the mark set, stability, the existence of a marked
     isomorphism for every group element (the witnessing element is
     reported on failure), and the scalar action on each chain component.
+    The isomorphisms are searched for the generators of G first, and for
+    every element once one of those is missing or the scalar generator
+    does not act by scaling.
     """
     return _check_axioms(tree, space)[0]
 
 
 def _check_axioms(tree: MarkedTree, space: LinSpace):
-    """The violations, plus the group correspondences and the chain that
-    validation keeps when there are none."""
-    violations: List[str] = []
-    expected = set(space.vectors()) | {INF}
-    if set(tree.marking) != expected:
-        violations.append("marking is not indexed by the vector space plus infinity")
-        return violations, None, None
-    report = tree.validate()
-    if not report.ok:
-        violations.extend(report.violations)
-        return violations, None, None
+    """The violations, plus the chain and every translation's component
+    permutation when there are none.
 
-    # the remarked tree shares components and nodes, so its entry maps are
-    # the base tree's with the mark keys permuted
+    Only the generators of G are searched; when one of them fails, the
+    scan over all of G lists the violations."""
+    violations = _shape_violations(tree, space)
+    if violations:
+        return violations, None, None
     entry = curve._entry_maps(tree)
+    found = _generator_axioms(tree, space, entry)
+    if found is None:
+        return _scan_axioms(tree, space, entry)
+    return [], *found
+
+
+def _shape_violations(tree: MarkedTree, space: LinSpace) -> List[str]:
+    """The mark-set and stability violations."""
+    if set(tree.marking) != set(space.vectors()) | {INF}:
+        return ["marking is not indexed by the vector space plus infinity"]
+    return list(tree.validate().violations)
+
+
+def _automorphism(tree: MarkedTree, space: LinSpace, entry,
+                  g: GroupElement) -> Optional[Correspondence]:
+    """The marked isomorphism from the tree to its remarking by g, if any.
+
+    The remarked tree shares components and nodes, so its entry maps are
+    the base tree's with the mark keys permuted."""
+    entry2 = {c: {w: pts[group_act(g, w)] for w in pts}
+              for c, pts in entry.items()}
+    return curve.are_isomorphic(tree, remarked(tree, space, g),
+                                entry1=entry, entry2=entry2)
+
+
+def _scaling_violations(tree: MarkedTree, space: LinSpace, chain,
+                        corr: Correspondence, xi: int) -> List[str]:
+    """How the automorphism of the scalar xi fails to fix each chain
+    component and act on it by scaling by xi."""
+    out = []
+    scale = space.field.scalar(xi)
+    for i, cid in enumerate(chain):
+        if corr.components[cid] != cid:
+            out.append(f"scalar xi={xi} does not stabilize chain component {cid!r}")
+            continue
+        x_i, y_i = _distinguished(tree, space, chain, i)
+        third = _third_point(tree, cid, x_i, y_i)
+        to_std = Mobius.to_standard(x_i, third, y_i)
+        induced = to_std.compose(corr.maps[cid]).compose(to_std.inverse())
+        if not induced.is_scaling_by(scale):
+            out.append(f"xi={xi} does not act by scaling on chain component {cid!r}")
+    return out
+
+
+def _scan_axioms(tree: MarkedTree, space: LinSpace, entry):
+    """The axioms checked on every element of G: one search per element,
+    then the scaling axiom for every scalar.  The failure path of
+    validation, which words its violations, and the oracle its generator
+    path is tested against; the tree must have passed
+    :func:`_shape_violations`."""
+    violations: List[str] = []
     corrs: Dict[Tuple[Vec, int], Correspondence] = {}
     for g in group_elements(space):
-        target = remarked(tree, space, g)
-        entry2 = {c: {w: pts[group_act(g, w)] for w in pts}
-                  for c, pts in entry.items()}
-        corr = curve.are_isomorphic(tree, target, entry1=entry, entry2=entry2)
+        corr = _automorphism(tree, space, entry, g)
         if corr is None:
             violations.append(f"no marked isomorphism for (v={g.v}, xi={g.xi})")
         else:
             corrs[(g.v, g.xi)] = corr
     if violations:
         return violations, None, None
-
     chain = _chain_of(tree, space)
-    fld = space.field
     for xi in range(2, space.q):
-        corr = corrs[(space.zero, xi)]
-        scale = fld.scalar(xi)
-        for i, cid in enumerate(chain):
-            if corr.components[cid] != cid:
-                violations.append(
-                    f"scalar xi={xi} does not stabilize chain component {cid!r}")
-                continue
-            x_i, y_i = _distinguished(tree, space, chain, i)
-            third = _third_point(tree, cid, x_i, y_i)
-            to_std = Mobius.to_standard(x_i, third, y_i)
-            induced = to_std.compose(corr.maps[cid]).compose(to_std.inverse())
-            if not induced.is_scaling_by(scale):
-                violations.append(
-                    f"xi={xi} does not act by scaling on chain component {cid!r}")
-    return violations, corrs, chain
+        violations.extend(_scaling_violations(tree, space, chain,
+                                              corrs[(space.zero, xi)], xi))
+    perms = {v: corrs[(v, 1)].components for v in space.vectors()}
+    return violations, chain, perms
+
+
+def _primitive_scalar(fld) -> int:
+    """The smallest scalar index generating F_q^* (q > 2)."""
+    for xi in range(2, fld.q):
+        x, order = xi, 1
+        while x != 1:
+            x, order = fld.s_mul[x][xi], order + 1
+        if order == fld.q - 1:
+            return xi
+    raise AssertionError("F_q^* has no generator")
+
+
+def _generator_axioms(tree: MarkedTree, space: LinSpace, entry):
+    """The chain and every translation's component permutation, from the
+    automorphisms of the generators of G alone; None when one of them is
+    missing or the scalar generator breaks the scaling axiom.
+
+    The generators are the basis translations (b, 1) and, for q > 2, a
+    primitive scalar (0, xi0).  Automorphisms compose (phi_g phi_h =
+    phi_gh), so the rest of G has automorphisms too; and every scalar is a
+    power xi0^k, so when xi0 scales each chain component by xi0, xi0^k
+    scales it by xi0^k.  The translations by xi0^k b, k < e, span V over
+    F_p; the automorphism of xi0^k b is phi_xi0^k phi_b phi_xi0^-k, so its
+    component permutation is sigma^k pi_b sigma^-k, with sigma that of the
+    scalar generator.
+    """
+    fld = space.field
+    basis_perms = []
+    for b in space.basis():
+        corr = _automorphism(tree, space, entry, GroupElement(space, b, 1))
+        if corr is None:
+            return None
+        basis_perms.append((b, corr.components))
+    chain = _chain_of(tree, space)
+    gens = list(basis_perms)
+    if space.q > 2:
+        xi0 = _primitive_scalar(fld)
+        corr = _automorphism(tree, space, entry,
+                             GroupElement(space, space.zero, xi0))
+        if corr is None or _scaling_violations(tree, space, chain, corr, xi0):
+            return None
+        sigma = corr.components
+        sigma_inv = {d: c for c, d in sigma.items()}
+        conj, xi = basis_perms, 1
+        for _ in range(1, fld.e):
+            conj = [(b, {c: sigma[pi[sigma_inv[c]]] for c in pi})
+                    for b, pi in conj]
+            xi = fld.s_mul[xi][xi0]
+            gens.extend((space.scale(xi, b), pi) for b, pi in conj)
+    # the translations by the F_p-span of the generators, one generator at
+    # a time: pi_(v + c g) = pi_g^c pi_v
+    perms = {space.zero: {c: c for c in tree.components}}
+    for g, pi in gens:
+        grown = {}
+        for v, pv in perms.items():
+            for _ in range(1, fld.p):
+                v, pv = space.add(v, g), {c: pi[d] for c, d in pv.items()}
+                grown[v] = pv
+        perms.update(grown)
+    return chain, perms
 
 
 def _distinguished(tree, space, chain, i):
@@ -157,21 +255,22 @@ def validate_fern(tree: MarkedTree, space: LinSpace) -> Fern:
     """Check the fern axioms and return the fern with its cached flag.
 
     Raises :class:`InvalidFern` with the full violation list on failure.
+    Step i of the flag is spanned by the translations that fix the i-th
+    chain component.
     """
-    violations, corrs, chain = _check_axioms(tree, space)
+    violations, chain, perms = _check_axioms(tree, space)
     if violations:
         raise InvalidFern(violations)
     steps = [space.mod]
     for cid in chain:
-        stab = [v for v in space.vectors()
-                if corrs[(v, 1)].components[cid] == cid]
+        stab = [v for v in space.vectors() if perms[v][cid] == cid]
         step = Subspace.from_vectors(
             space.vs, list(space.mod.rows) + stab)
         steps.append(step)
     flag = Flag(tuple(steps))
     if steps[-1] != space.sub:  # pragma: no cover - theory guarantee
         raise InvalidFern(["chain stabilizers do not exhaust the space"])
-    return Fern(tree, space, chain, flag, corrs)
+    return Fern(tree, space, chain, flag)
 
 
 # ---------------------------------------------------------------------------

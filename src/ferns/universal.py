@@ -14,17 +14,24 @@ its component, node, and section data:
   action of the group and locating the unique component whose equations
   the translated point satisfies.
 
-``check_equations`` keeps the full defining equations around as an
-independent verifier.  ``classify`` goes the other way: it reads one
-functional class per nonzero subspace off a fern's contractions, giving a
-point of the compactified period domain whose chart coordinates recover
-the fiber parameters exactly.
+The defining equations and the constraints each component puts on the
+coordinates depend only on the chart point, so :class:`PointEquations`
+builds them once per point; nodes, mark locations and the equivariance
+check read them from there.  Every mark of a fiber is still checked
+against the full defining equations, and must satisfy exactly one
+component's constraints.  ``check_equations`` and ``locate_component``
+answer the same questions for a single call.
+``classify`` goes the other way: it reads one functional class per
+nonzero subspace off a fern's contractions, giving a point of the
+compactified period domain whose chart coordinates recover the fiber
+parameters exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import curve, fern as fern_mod
@@ -309,38 +316,10 @@ def component_constraint(cp: ChartPoint, free: Tuple[BVec, int],
     return ProjPoint.infinity(fld)
 
 
-def node_point(cp: ChartPoint, upper: Tuple[BVec, int],
-               lower: Tuple[BVec, int]) -> Dict[Tuple[BVec, int], ProjPoint]:
-    """The full coordinate tuple of the node between two adjacent components.
-
-    Intersects the two components' constraint systems; each pins the
-    other's free coordinate and they must agree everywhere else.
-    """
-    point = {}
-    for idx in sigma_indices(cp):
-        a = component_constraint(cp, upper, idx)
-        b = component_constraint(cp, lower, idx)
-        if a is not None and b is not None and a != b:
-            raise AssertionError("adjacent component equations disagree")
-        value = a if a is not None else b
-        if value is None:
-            raise AssertionError("node equations leave a coordinate free")
-        point[idx] = value
-    return point
-
-
 def locate_component(cp: ChartPoint, point: Dict[Tuple[BVec, int], ProjPoint]):
     """The unique component whose equations the point satisfies, plus the
     position in that component's own coordinate."""
-    hits = []
-    for free in sigma_indices(cp):
-        if all(point[idx] == expected
-               for idx in sigma_indices(cp)
-               if (expected := component_constraint(cp, free, idx)) is not None):
-            hits.append(free)
-    if len(hits) != 1:
-        raise ValueError(f"point satisfied {len(hits)} component systems")
-    return hits[0], point[hits[0]]
+    return PointEquations(cp).locate(point)
 
 
 def section_value(cp: ChartPoint, v: BVec, w: BVec) -> ProjPoint:
@@ -382,37 +361,108 @@ def g_translate_index(space: LinSpace, idx, g: GroupElement):
 
 def check_equations(cp: ChartPoint,
                     assignment: Dict[Tuple[BVec, int], ProjPoint]) -> bool:
-    """Verify the full defining equations at the chart point.
+    """Verify the full defining equations at the chart point (see
+    :class:`PointEquations`)."""
+    return PointEquations(cp).check(assignment)
 
-    For all levels l, reduced indices (v,k), (v',k') with k, k' <= l and
-    v - v' inside the l-th stratum step:
-    Q^{i_l}_{b_{i_k}} X_{vk} Y_{v'k'} + Q^{i_l}_{v-v'} Y_{vk} Y_{v'k'}
-      = Q^{i_l}_{b_{i_k'}} X_{v'k'} Y_{vk}.
+
+class PointEquations:
+    """The defining equations and component constraints of one chart point.
+
+    Both depend only on the chart point, so each is built once, on first
+    use, and serves every section, node and translate over it.
+
+    ``equations`` lists, for all levels l and reduced indices (v,k),
+    (v',k') with k, k' <= l and v - v' inside the l-th stratum step, the
+    two indices and the coefficients (qa, qb, qc) of
+    qa X_{vk} Y_{v'k'} + qb Y_{vk} Y_{v'k'} = qc X_{v'k'} Y_{vk}, where
+    qa = Q^{i_l}_{b_{i_k}}, qb = Q^{i_l}_{v-v'} and qc = Q^{i_l}_{b_{i_k'}}.
+    ``pinned[free]`` maps every other index to the point that the
+    component with that free index pins there (see
+    :func:`component_constraint`).
     """
-    cs = cp.chart.coord_space
-    iseq = cp.stratum_indices
-    idxs = sigma_indices(cp)
-    m = len(iseq) - 1
-    for l in range(1, m + 1):
-        il = iseq[l]
-        for (v, k) in idxs:
-            if k > l:
-                continue
-            for (v2, k2) in idxs:
-                if k2 > l:
+
+    def __init__(self, cp: ChartPoint):
+        self.cp = cp
+        self.indices = sigma_indices(cp)
+
+    @cached_property
+    def equations(self) -> list:
+        cp, idxs = self.cp, self.indices
+        cs = cp.chart.coord_space
+        iseq = cp.stratum_indices
+        q_memo = {}
+
+        def q(c, level):
+            out = q_memo.get((c, level))
+            if out is None:
+                out = q_memo[(c, level)] = q_value(cp, c, level)
+            return out
+
+        out = []
+        for l in range(1, len(iseq)):
+            il = iseq[l]
+            for (v, k) in idxs:
+                if k > l:
                     continue
-                diff = cs.sub(v, v2)
-                if _lev(diff) > il:
-                    continue
-                p1, p2 = assignment[(v, k)], assignment[(v2, k2)]
-                qa = q_value(cp, cs.basis_vector(iseq[k]), il)
-                qb = q_value(cp, diff, il)
-                qc = q_value(cp, cs.basis_vector(iseq[k2]), il)
-                lhs = qa * p1.x * p2.y + qb * p1.y * p2.y
-                rhs = qc * p2.x * p1.y
-                if lhs != rhs:
+                qa = q(cs.basis_vector(iseq[k]), il)
+                for (v2, k2) in idxs:
+                    if k2 > l:
+                        continue
+                    diff = cs.sub(v, v2)
+                    if _lev(diff) > il:
+                        continue
+                    out.append(((v, k), (v2, k2), qa, q(diff, il),
+                                q(cs.basis_vector(iseq[k2]), il)))
+        return out
+
+    @cached_property
+    def pinned(self) -> dict:
+        return {free: {idx: c for idx in self.indices
+                       if (c := component_constraint(self.cp, free, idx))
+                       is not None}
+                for free in self.indices}
+
+    def check(self, assignment: Dict[Tuple[BVec, int], ProjPoint]) -> bool:
+        """Whether the assignment satisfies every defining equation."""
+        for i, j, qa, qb, qc in self.equations:
+            p1, p2 = assignment[i], assignment[j]
+            # points are normalized to (x : 1) or (1 : 0), which leaves
+            # qa x1 + qb = qc x2, 0 = qc, qa = 0 or nothing to check
+            if p1.y:
+                if (qa * p1.x + qb != qc * p2.x) if p2.y else qc:
                     return False
-    return True
+            elif p2.y and qa:
+                return False
+        return True
+
+    def node(self, upper: Tuple[BVec, int],
+             lower: Tuple[BVec, int]) -> Dict[Tuple[BVec, int], ProjPoint]:
+        """The full coordinate tuple of the node between two adjacent
+        components.
+
+        Intersects the two components' constraint systems; each pins the
+        other's free coordinate and they must agree everywhere else.
+        """
+        up, low = self.pinned[upper], self.pinned[lower]
+        point = {}
+        for idx in self.indices:
+            a, b = up.get(idx), low.get(idx)
+            if a is not None and b is not None and a != b:
+                raise AssertionError("adjacent component equations disagree")
+            value = a if a is not None else b
+            if value is None:
+                raise AssertionError("node equations leave a coordinate free")
+            point[idx] = value
+        return point
+
+    def locate(self, point: Dict[Tuple[BVec, int], ProjPoint]):
+        """See :func:`locate_component`."""
+        hits = [free for free, pins in self.pinned.items()
+                if all(point[idx] == expected for idx, expected in pins.items())]
+        if len(hits) != 1:
+            raise ValueError(f"point satisfied {len(hits)} component systems")
+        return hits[0], point[hits[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +481,8 @@ def fiber(cp: ChartPoint) -> Fern:
     fld = chart.field
     iseq = cp.stratum_indices
     m = len(iseq) - 1
-    idxs = sigma_indices(cp)
+    eqs = PointEquations(cp)
+    idxs = eqs.indices
 
     def cid(idx):
         v, k = idx
@@ -445,7 +496,7 @@ def fiber(cp: ChartPoint) -> Fern:
         for window in itertools.product(range(chart.q), repeat=hi - lo):
             u = (0,) * lo + window + (0,) * (chart.n - hi)
             v2 = chart.coord_space.add(v, u)
-            point = node_point(cp, (v, k), (v2, k - 1))
+            point = eqs.node((v, k), (v2, k - 1))
             nodes.append(curve.node(cid((v, k)), point[(v, k)],
                                     cid((v2, k - 1)), point[(v2, k - 1)]))
 
@@ -453,8 +504,8 @@ def fiber(cp: ChartPoint) -> Fern:
     for u_vec in chart.space.vectors():
         u_b = chart.to_coords(u_vec)
         point = section_assignment(cp, u_b)
-        home, pos = locate_component(cp, point)
-        if not check_equations(cp, point):
+        home, pos = eqs.locate(point)
+        if not eqs.check(point):
             raise AssertionError("section fails the defining equations")
         marking[u_vec] = (cid(home), pos)
     marking[INF] = (cid(((0,) * chart.n, m)), ProjPoint.infinity(fld))

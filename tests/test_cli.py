@@ -3,9 +3,13 @@
 Each golden case runs from inside ``tests/golden`` and compares standard
 output with ``tests/golden/<name>.out``.  The fern inputs under
 ``tests/golden/inputs`` are fixed files: three fiber outputs, one of them
-contracted to a plane, and a smooth fern on F_2^3 modulo that plane.
-After a change that is meant to alter the output, regenerate the goldens
-with ``PYTHONPATH=src python tests/test_cli.py`` and review the diff.
+contracted to a plane, a smooth fern on F_2^3 modulo that plane, and two
+broken trees.  The rejection cases load a broken tree, exit 1 and pin
+standard error in ``tests/golden/<name>.err``: a smooth F_3^2 fern over
+GF(27) with one mark moved, and a graft-built F_3^2 fern over GF(3) with
+two marks swapped.  After a change that is meant to alter the output,
+regenerate the goldens with ``PYTHONPATH=src python tests/test_cli.py``
+and review the diff.
 """
 
 import contextlib
@@ -41,6 +45,11 @@ CASES = {
     "census_q2_n3_strata": "census --q 2 --n 3 --no-oracle",
 }
 
+REJECTIONS = {
+    "reject_gf27_moved": "classify --in inputs/broken_gf27_moved.json",
+    "reject_q3_swapped": "classify --in inputs/broken_q3_swapped.json",
+}
+
 
 def run_cli(argv):
     """Exit code, standard output and standard error of one invocation."""
@@ -56,6 +65,15 @@ def test_golden_output(name, monkeypatch):
     code, out, err = run_cli(CASES[name].split())
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(REJECTIONS))
+def test_rejection_golden(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run_cli(REJECTIONS[name].split())
+    assert code == 1
+    assert out == ""
+    assert err == (GOLDEN / f"{name}.err").read_text()
 
 
 @pytest.mark.parametrize("argv", [
@@ -75,6 +93,34 @@ def test_malformed_parameters_exit_2(argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    "contract --in inputs/gf2_n3.json --subspace 0,0,0",
+    ("graft --sub inputs/gf2_plane.json --quot inputs/gf2_mod_plane.json "
+     "--complement 1,0,0"),
+])
+def test_bad_fern_parameters_exit_2(argv, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run_cli(argv.split())
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("exc,code,prefix", [
+    (TypeError("boom"), 3, "internal error: TypeError: boom"),
+    (AssertionError("guard"), 1, "failure: AssertionError: guard"),
+])
+def test_internal_errors_exit_3_and_property_failures_exit_1(
+        exc, code, prefix, monkeypatch):
+    def broken(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_fiber", broken)
+    got, out, err = run_cli("fiber --p 2 --n 2 --t 0".split())
+    assert got == code
+    assert out == ""
+    assert err == prefix + "\n"
+
+
 def test_census_budget_fails_fast():
     start = time.monotonic()
     code, out, err = run_cli("census --q 2 --n 5".split())
@@ -91,3 +137,8 @@ if __name__ == "__main__":
         if code != 0:
             raise SystemExit(f"{name} exited {code}: {err}")
         (GOLDEN / f"{name}.out").write_text(out)
+    for name, line in REJECTIONS.items():
+        code, out, err = run_cli(line.split())
+        if code != 1 or out:
+            raise SystemExit(f"{name} exited {code} with output {out!r}")
+        (GOLDEN / f"{name}.err").write_text(err)

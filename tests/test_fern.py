@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ferns import curve
+from ferns import fern as fern_mod
 from ferns.curve import ProjPoint, single_component_tree
 from ferns.fern import (InvalidFern, LineData, contract_fern, drinfeld_psi,
                         expand_root_product, fern_violations, graft,
@@ -399,3 +400,135 @@ def test_root_product_additivity_random(rng):
         qpowers = {q ** j for j in range(n + 1)}
         for exp, c in enumerate(coeffs):
             assert not c or exp in qpowers
+
+
+# ---------------------------------------------------------------------------
+# validation from generators against the scan over all of G
+# ---------------------------------------------------------------------------
+
+def scan_axioms(tree, sp):
+    """The violations, chain and translation permutations of the scan over
+    all of G, the oracle for validation from generators."""
+    violations = fern_mod._shape_violations(tree, sp)
+    if violations:
+        return violations, None, None
+    return fern_mod._scan_axioms(tree, sp, curve._entry_maps(tree))
+
+
+def stabilizer_flag(sp, chain, perms):
+    return [Subspace.from_vectors(sp.vs, list(sp.mod.rows) + [
+        v for v in sp.vectors() if perms[v][cid] == cid]) for cid in chain]
+
+
+def perturbed_trees(f, rng):
+    """The fern's tree, one copy with two marks swapped and one with a mark
+    moved to a free point of its component."""
+    tree, sp = f.tree, f.space
+    labels = list(sp.vectors()) + [INF]
+    a, b = rng.sample(labels, 2)
+    swapped = dict(tree.marking)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    out = [tree, tree.with_marking(swapped)]
+    target = rng.choice(labels)
+    cid = tree.marking[target][0]
+    taken = set(tree.marks_on(cid).values()) | set(tree.neighbors(cid).values())
+    free = [p for p in [ProjPoint.affine(x) for x in sp.field.elements()]
+            + [ProjPoint.infinity(sp.field)] if p not in taken]
+    if free:
+        moved = dict(tree.marking)
+        moved[target] = (cid, rng.choice(free))
+        out.append(tree.with_marking(moved))
+    return out
+
+
+def assert_generators_match_scan(tree, sp):
+    """Same acceptance, translation permutations, flag and violations."""
+    assert not fern_mod._shape_violations(tree, sp)
+    violations, chain, perms = scan_axioms(tree, sp)
+    found = fern_mod._generator_axioms(tree, sp, curve._entry_maps(tree))
+    assert (found is None) == bool(violations)
+    assert fern_violations(tree, sp) == violations
+    if found is None:
+        with pytest.raises(InvalidFern) as info:
+            validate_fern(tree, sp)
+        assert info.value.violations == violations
+        return False
+    assert found == (chain, perms)
+    assert list(validate_fern(tree, sp).flag.steps[1:]) == \
+        stabilizer_flag(sp, chain, perms)
+    return True
+
+
+def frobenius_tree(sp):
+    """One line marked by v -> v^p on F_q: every element of G has an
+    automorphism, but the scalars act by xi^p, not by xi."""
+    fld = sp.field
+    marking = {(c,): ProjPoint.affine(fld.scalar(c) ** fld.p)
+               for c in range(sp.q)}
+    marking[INF] = ProjPoint.infinity(fld)
+    return single_component_tree(fld, marking)
+
+
+# (n, p, e, m) -> ferns per configuration; q = 4 and q = 8 need the
+# conjugated translations xi0^k e_j, the rest only the basis translations
+ORACLE_QUICK = [((2, 2, 1, 1), 4), ((3, 2, 1, 1), 2), ((2, 2, 1, 2), 4),
+                ((2, 3, 1, 1), 3), ((1, 5, 1, 1), 4), ((1, 2, 2, 2), 4),
+                ((2, 2, 2, 1), 4), ((1, 2, 3, 1), 4)]
+ORACLE_SWEEP = [((2, 2, 1, 1), 40), ((3, 2, 1, 1), 40), ((2, 2, 1, 2), 40),
+                ((4, 2, 1, 1), 10), ((2, 3, 1, 1), 40), ((3, 3, 1, 1), 4),
+                ((2, 3, 1, 2), 40), ((1, 5, 1, 1), 40), ((2, 5, 1, 1), 4),
+                ((1, 2, 2, 2), 40), ((2, 2, 2, 1), 20), ((2, 2, 2, 2), 12),
+                ((1, 2, 3, 1), 40), ((1, 2, 3, 2), 20)]
+
+
+def run_oracle(configs, seed):
+    rng = random.Random(seed)
+    accepted = rejected = 0
+    for (n, p, e, m), count in configs:
+        sp = LinSpace.full(VSpace(field_make(p, e, m), n))
+        for _ in range(count):
+            for tree in perturbed_trees(random_fern(sp, rng), rng):
+                if assert_generators_match_scan(tree, sp):
+                    accepted += 1
+                else:
+                    rejected += 1
+    return accepted, rejected
+
+
+def test_generators_match_scan_quick():
+    accepted, rejected = run_oracle(ORACLE_QUICK, 0)
+    assert accepted >= 30 and rejected >= 20
+
+
+@pytest.mark.slow
+def test_generators_match_scan_sweep():
+    accepted, rejected = run_oracle(ORACLE_SWEEP, 1)
+    assert accepted >= 400 and rejected >= 350
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])
+def test_scaling_failure_falls_back_to_scan(p, e):
+    sp = LinSpace.full(VSpace(field_make(p, e), 1))
+    tree = frobenius_tree(sp)
+    violations, _, _ = scan_axioms(tree, sp)
+    assert violations and all("scaling" in v for v in violations)
+    assert not assert_generators_match_scan(tree, sp)
+
+
+def test_generator_searches_per_validation(monkeypatch):
+    calls = []
+    real = curve.are_isomorphic
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(curve, "are_isomorphic", counted)
+    rng = random.Random(5)
+    for (n, p, e, m), searches in [((3, 2, 1, 1), 3), ((3, 3, 1, 1), 4),
+                                   ((2, 2, 2, 1), 3)]:
+        sp = LinSpace.full(VSpace(field_make(p, e, m), n))
+        f = random_fern(sp, rng)
+        calls.clear()
+        validate_fern(f.tree, sp)
+        assert len(calls) == searches

@@ -11,9 +11,11 @@ from ferns.fern import line_data
 from ferns.gf import (INF, GroupElement, LinSpace, Subspace, VSpace,
                       complete_flags, field_make, group_elements, group_mul)
 from ferns.rand import random_fern, random_pipeline_fern
-from ferns.universal import (Chart, ChartPoint, ClassPoint, QPoly, bv_member,
-                             chart_contains, chart_coords, chart_point,
-                             chart_points, check_equations, classify, fiber,
+from ferns import universal
+from ferns.universal import (Chart, ChartPoint, ClassPoint, PointEquations,
+                             QPoly, bv_member, chart_contains, chart_coords,
+                             chart_point, chart_points, check_equations,
+                             classify, component_constraint, fiber,
                              functional_candidates, g_translate_index,
                              q_poly, q_value, section_assignment,
                              sigma_indices, standard_chart, uf_member)
@@ -238,13 +240,9 @@ def test_check_equations_infinity_and_zero_sections():
             assert check_equations(cp, section_assignment(cp, zero))
 
 
-def test_check_equations_rejects_random_garbage(rng):
-    sp = space(2, 2)
-    ch = standard_chart(sp)
-    cp = chart_point(ch, (sp.field.zero,))
-    fld = sp.field
-    rejected = 0
-    for _ in range(60):
+def garbage_assignments(cp, rng, count=60):
+    fld = cp.chart.field
+    for _ in range(count):
         assignment = {}
         for idx in sigma_indices(cp):
             x = fld.from_int(rng.randrange(fld.order))
@@ -252,8 +250,14 @@ def test_check_equations_rejects_random_garbage(rng):
             if not x and not y:
                 x = fld.one
             assignment[idx] = ProjPoint(x, y)
-        if not check_equations(cp, assignment):
-            rejected += 1
+        yield assignment
+
+
+def test_check_equations_rejects_random_garbage(rng):
+    sp = space(2, 2)
+    cp = chart_point(standard_chart(sp), (sp.field.zero,))
+    rejected = sum(not check_equations(cp, assignment)
+                   for assignment in garbage_assignments(cp, rng))
     assert rejected > 30  # random points are overwhelmingly off the fiber
 
 
@@ -265,6 +269,140 @@ def test_section_translates_satisfy_equations_exhaustively():
             u_b = INF if u == INF else ch.to_coords(u)
             for g in [None] + group_elements(sp):
                 assert check_equations(cp, section_assignment(cp, u_b, g=g))
+
+
+# ---------------------------------------------------------------------------
+# the per-chart-point equations and constraint table against per-call search
+# ---------------------------------------------------------------------------
+
+def reference_check_equations(cp, assignment):
+    """The defining equations, every pair of indices at every level."""
+    cs = cp.chart.coord_space
+    iseq = cp.stratum_indices
+    idxs = sigma_indices(cp)
+    for l in range(1, len(iseq)):
+        il = iseq[l]
+        for (v, k) in idxs:
+            if k > l:
+                continue
+            for (v2, k2) in idxs:
+                if k2 > l:
+                    continue
+                diff = cs.sub(v, v2)
+                if universal._lev(diff) > il:
+                    continue
+                p1, p2 = assignment[(v, k)], assignment[(v2, k2)]
+                qa = q_value(cp, cs.basis_vector(iseq[k]), il)
+                qb = q_value(cp, diff, il)
+                qc = q_value(cp, cs.basis_vector(iseq[k2]), il)
+                if qa * p1.x * p2.y + qb * p1.y * p2.y != qc * p2.x * p1.y:
+                    return False
+    return True
+
+
+def reference_locate(cp, point):
+    """Every component tested against every index, per call."""
+    hits = []
+    for free in sigma_indices(cp):
+        if all(point[idx] == expected
+               for idx in sigma_indices(cp)
+               if (expected := component_constraint(cp, free, idx)) is not None):
+            hits.append(free)
+    if len(hits) != 1:
+        return len(hits)
+    return hits[0], point[hits[0]]
+
+
+def reference_node(cp, upper, lower):
+    point = {}
+    for idx in sigma_indices(cp):
+        a = component_constraint(cp, upper, idx)
+        b = component_constraint(cp, lower, idx)
+        assert a is None or b is None or a == b
+        point[idx] = a if a is not None else b
+    return point
+
+
+def located(equations, point):
+    try:
+        return equations.locate(point)
+    except ValueError as exc:
+        return int(str(exc).split()[2])  # "point satisfied N component ..."
+
+
+def assert_point_equations_match(cp, equations, assignment, memo=None):
+    """The shared list and table agree with the per-call references; the
+    references' verdicts on a repeated assignment come from ``memo``."""
+    key = tuple(assignment.items())
+    memo = {} if memo is None else memo
+    if key not in memo:
+        memo[key] = (reference_check_equations(cp, assignment),
+                     reference_locate(cp, assignment))
+    assert (equations.check(assignment),
+            located(equations, assignment)) == memo[key]
+
+
+@pytest.mark.parametrize("config", [(3, 2, 1), (2, 2, 2), (2, 3, 1)])
+def test_point_equations_match_per_call_search(config):
+    sp = space(*config)
+    sections = 0
+    for flag in complete_flags(sp.vs):
+        chart = Chart.for_flag(sp, flag)
+        for cp in chart_points(chart):
+            equations = PointEquations(cp)
+            memo = {}
+            idxs = sigma_indices(cp)
+            assert equations.indices == idxs
+            for free in idxs:
+                for idx in idxs:
+                    assert equations.pinned[free].get(idx) == \
+                        component_constraint(cp, free, idx)
+            for (v, k) in idxs:
+                for (v2, k2) in idxs:
+                    if k2 == k - 1:
+                        try:
+                            reference = reference_node(cp, (v, k), (v2, k2))
+                        except AssertionError:
+                            continue
+                        assert equations.node((v, k), (v2, k2)) == reference
+            for u in list(sp.vectors()) + [INF]:
+                u_b = INF if u == INF else chart.to_coords(u)
+                for g in [None] + group_elements(sp):
+                    assignment = section_assignment(cp, u_b, g=g)
+                    assert_point_equations_match(cp, equations, assignment,
+                                                 memo)
+                    assert equations.check(assignment)
+                    sections += 1
+    assert sections > 0
+
+
+def test_point_equations_match_on_garbage(rng):
+    sp = space(2, 2)
+    cp = chart_point(standard_chart(sp), (sp.field.zero,))
+    equations = PointEquations(cp)
+    outcomes = set()
+    for assignment in garbage_assignments(cp, rng):
+        assert_point_equations_match(cp, equations, assignment)
+        outcomes.add(equations.check(assignment))
+    assert outcomes == {True, False}
+
+
+def test_fiber_checks_every_mark_against_the_equations(monkeypatch):
+    sp = space(2, 3)
+    cp = chart_point(standard_chart(sp), (sp.field.zero,))
+    checked = []
+    real = PointEquations.check
+
+    def counted(self, assignment):
+        checked.append(assignment)
+        return real(self, assignment)
+
+    monkeypatch.setattr(PointEquations, "check", counted)
+    fiber(cp)
+    assert len(checked) == len(sp.vectors())
+    monkeypatch.setattr(PointEquations, "check", lambda self, a: False)
+    with pytest.raises(AssertionError, match="defining equations"):
+        fiber(cp)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,30 @@ def test_census_cases_are_the_papers_counts():
      "40 stabilization and contraction identities hold"),
     (lambda: verify.invariant_census_sweep(64),
      "closed-form count confirmed on 54 configurations"),
+    (verify.criterion_roundtrip, "37 chart points round-trip"),
+    (verify.criterion_contraction_compat,
+     "21 fibers contract compatibly"),
+    (verify.invariant_fiber_injectivity,
+     "distinct chart points give non-isomorphic fibers"),
+    (verify.criterion_equivariance,
+     "1701 section translates satisfy the equations"),
 ], ids=["census", "field_axioms", "subspace_counts", "group_laws",
-        "fern_uniqueness_dim1", "knudsen", "census_sweep"])
+        "fern_uniqueness_dim1", "knudsen", "census_sweep", "roundtrip",
+        "contraction_compat", "fiber_injectivity", "equivariance"])
 def test_quick_check_passes(check, detail):
     assert check() == detail
+
+
+@pytest.fixture(scope="module")
+def pipeline_ferns():
+    return verify._pipeline_ferns(40, 0)
+
+
+def test_graft_axioms_on_pipeline_ferns(pipeline_ferns):
+    assert verify.criterion_graft_axioms(pipeline_ferns, 0) == \
+        "40 pipeline ferns valid and flag-compatible"
+
+
+def test_reciprocal_axioms_on_pipeline_ferns(pipeline_ferns):
+    assert verify.criterion_reciprocal(pipeline_ferns) == \
+        "40 reciprocal data satisfy both axioms"
