@@ -9,7 +9,10 @@ surgeries coordinate transports:
 * ``contract``        forget marks and collapse unstable components,
 * ``stabilize``       insert a new mark, sprouting a component if needed,
 * ``contract_to_component``  squash everything onto one component,
-* ``are_isomorphic``  find the unique label-preserving isomorphism.
+* ``marked_isomorphism``  find the unique isomorphism that relabels the
+                      marks by a given bijection (an automorphism when
+                      no second tree is given),
+* ``are_isomorphic``  the label-preserving case between two trees.
 
 Trees are immutable; every operation returns new values.  Unstable trees
 are representable (they occur as stabilization inputs and as contraction
@@ -116,12 +119,6 @@ class Mobius:
         m0 = cls(p0.y, -p0.x, pinf.y, -pinf.x)
         img = m0.apply(p1)
         return cls(img.y * m0.a, img.y * m0.b, img.x * m0.c, img.x * m0.d)
-
-    @classmethod
-    def between_triples(cls, src: Tuple[ProjPoint, ...],
-                        dst: Tuple[ProjPoint, ...]) -> "Mobius":
-        """The unique map sending the src triple to the dst triple in order."""
-        return cls.to_standard(*dst).inverse().compose(cls.to_standard(*src))
 
     def normalized(self) -> Tuple:
         for pivot in (self.a, self.b, self.c, self.d):
@@ -616,42 +613,64 @@ def _mark_key(label) -> str:
     return repr(label)
 
 
-def are_isomorphic(t1: MarkedTree, t2: MarkedTree,
-                   entry1=None, entry2=None) -> Optional[Correspondence]:
-    """The unique isomorphism of stable marked trees, or None.
+class AnchoredTree:
+    """The data of a tree that every isomorphism search from it reuses.
 
-    The component bijection is forced: each component is the meeting point
-    of three marks reached through distinct special points, and the image
-    component must play the same role.  Anchoring the three entry points
-    then forces the coordinate identification, which the remaining marks
-    and nodes either confirm or refute.
-
-    Precomputed entry maps (from :func:`_entry_maps`) may be passed in by
-    callers that compare one tree against many remarkings of another.
+    ``entry`` holds the entry maps: for each component, the point through
+    which every mark is reached.  ``anchors[c]`` names three marks reached
+    through distinct points of c (the smallest by ``repr`` of the smallest
+    mark in each direction), and ``std[c]`` is the Moebius map sending
+    their entry points to (0:1), (1:1), (1:0).  A component with fewer
+    than three directions gets neither; searching from it raises.
     """
-    if set(t1.marking) != set(t2.marking):
-        raise ValueError("mark sets differ")
-    if t1.field is not t2.field:
-        raise ValueError("trees live over different fields")
-    if (len(t1.components) != len(t2.components)
-            or len(t1.nodes) != len(t2.nodes)):
-        return None
-    entry1 = _entry_maps(t1) if entry1 is None else entry1
-    entry2 = _entry_maps(t2) if entry2 is None else entry2
 
+    __slots__ = ("tree", "entry", "anchors", "std")
+
+    def __init__(self, t: MarkedTree):
+        self.tree = t
+        self.entry = _entry_maps(t)
+        self.anchors: Dict[object, Tuple] = {}
+        self.std: Dict[object, Mobius] = {}
+        key = {lbl: _mark_key(lbl) for lbl in t.marking}.__getitem__
+        for c, entry in self.entry.items():
+            by_point: Dict[ProjPoint, list] = {}
+            for lbl, pt in entry.items():
+                by_point.setdefault(pt, []).append(lbl)
+            if len(by_point) < 3:
+                continue
+            directions = sorted(
+                (min(lbls, key=key) for lbls in by_point.values()), key=key)
+            anchors = self.anchors[c] = tuple(directions[:3])
+            self.std[c] = Mobius.to_standard(*(entry[a] for a in anchors))
+
+
+def marked_isomorphism(src: AnchoredTree, relabel: dict,
+                       dst: Optional[MarkedTree] = None
+                       ) -> Optional[Correspondence]:
+    """The isomorphism from src's tree to ``dst`` (default: src's tree
+    itself) sending each mark w to the mark ``relabel[w]``, or None.
+
+    The component bijection is forced: each component c is the meeting
+    point of its three anchor marks, so its image is the unique component
+    that the relabelled anchors reach through three distinct points.
+    Sending the anchors' entry points to theirs forces the coordinate map,
+    which every mark and every node then confirms or refutes.  The trees
+    must have equally many components and nodes, which
+    :func:`are_isomorphic` checks.  Without ``dst``, this finds the
+    automorphism that permutes the marks by ``relabel``, on src's own
+    entry maps; no relabelled copy is built.
+    """
+    t1 = src.tree
+    t2, entry2 = (t1, src.entry) if dst is None else (dst, _entry_maps(dst))
     comp_map, mobius = {}, {}
     for c in t1.components:
-        by_point: Dict[ProjPoint, list] = {}
-        for lbl, pt in entry1[c].items():
-            by_point.setdefault(pt, []).append(lbl)
-        if len(by_point) < 3:
+        anchors = src.anchors.get(c)
+        if anchors is None:
             raise ValueError("tree is not stable")
-        directions = sorted(
-            (min(lbls, key=_mark_key) for lbls in by_point.values()), key=_mark_key)
-        anchors = directions[:3]
+        images = [relabel[a] for a in anchors]
         candidates = [
             d for d in t2.components
-            if len({entry2[d][a] for a in anchors}) == 3
+            if len({entry2[d][a] for a in images}) == 3
         ]
         if not candidates:
             return None
@@ -659,19 +678,18 @@ def are_isomorphic(t1: MarkedTree, t2: MarkedTree,
             raise AssertionError("median of three marks must be unique")
         d = candidates[0]
         comp_map[c] = d
-        src = tuple(entry1[c][a] for a in anchors)
-        dst = tuple(entry2[d][a] for a in anchors)
-        mobius[c] = Mobius.between_triples(src, dst)
+        dst_std = Mobius.to_standard(*(entry2[d][a] for a in images))
+        mobius[c] = dst_std.inverse().compose(src.std[c])
 
     if len(set(comp_map.values())) != len(comp_map):
         return None
     # verify marks
     for lbl, (cid, pt) in t1.marking.items():
-        cid2, pt2 = t2.marking[lbl]
+        cid2, pt2 = t2.marking[relabel[lbl]]
         if comp_map[cid] != cid2 or mobius[cid].apply(pt) != pt2:
             return None
-    # verify nodes, from both sides
-    nodes2 = set(t2.nodes)
+    # verify nodes; equally many on both sides, so one direction suffices
+    nodes2 = t2.nodes
     for nd in t1.nodes:
         (c1, p1), (c2, p2) = tuple(nd)
         image = node(comp_map[c1], mobius[c1].apply(p1),
@@ -679,3 +697,17 @@ def are_isomorphic(t1: MarkedTree, t2: MarkedTree,
         if image not in nodes2:
             return None
     return Correspondence(comp_map, mobius)
+
+
+def are_isomorphic(t1: MarkedTree, t2: MarkedTree) -> Optional[Correspondence]:
+    """The unique label-preserving isomorphism of stable marked trees, or
+    None; see :func:`marked_isomorphism`."""
+    if set(t1.marking) != set(t2.marking):
+        raise ValueError("mark sets differ")
+    if t1.field is not t2.field:
+        raise ValueError("trees live over different fields")
+    if (len(t1.components) != len(t2.components)
+            or len(t1.nodes) != len(t2.nodes)):
+        return None
+    return marked_isomorphism(AnchoredTree(t1),
+                              {lbl: lbl for lbl in t1.marking}, t2)

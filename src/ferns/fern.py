@@ -2,16 +2,19 @@
 at infinity, carrying a compatible action of G = V x| F_q^*.
 
 The action itself is never stored.  Morphisms of stable marked trees are
-unique, so the automorphism attached to a group element (v, xi) is exactly
-the isomorphism from the tree to itself with the marking composed with
-w -> xi*w + v, and these automorphisms compose like the group elements.
-Validation therefore searches only for the automorphisms of the n basis
-translations and, for q > 2, of one primitive scalar, and derives every
-translation's component permutation by composition.  When one of these
-searches fails, it scans all of G, so that the violations name every
-group element without an automorphism.  The chain of components joining
-the 0-mark to the infinity-mark yields the associated flag: step i is the
-stabilizer of the i-th chain component under translations.
+unique, so the automorphism attached to a group element g = (v, xi) is
+exactly the isomorphism from the tree to itself that sends mark w to mark
+g.w = xi*w + v, and these automorphisms compose like the group elements.
+Each search runs on the tree's own data (``curve.AnchoredTree``, built
+once per validation) with the marks relabelled by g; no relabelled copy
+of the tree is made.  Validation searches only for the automorphisms of
+the n basis translations and, for q > 2, of one primitive scalar, and
+derives every translation's component permutation by composition.  When
+one of these searches fails, it scans all of G, so that the violations
+name every group element without an automorphism.  The chain of
+components joining the 0-mark to the infinity-mark yields the associated
+flag: step i is the stabilizer of the i-th chain component under
+translations.
 
 Derived data:
 
@@ -44,12 +47,6 @@ class InvalidFern(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
-
-
-def remarked(tree: MarkedTree, space: LinSpace, g: GroupElement) -> MarkedTree:
-    """The same tree with marking w -> position of (g.w); infinity is fixed."""
-    marking = {w: tree.marking[group_act(g, w)] for w in tree.marking}
-    return tree.with_marking(marking, extra={})
 
 
 @dataclass(frozen=True)
@@ -99,10 +96,10 @@ def _check_axioms(tree: MarkedTree, space: LinSpace):
     violations = _shape_violations(tree, space)
     if violations:
         return violations, None, None
-    entry = curve._entry_maps(tree)
-    found = _generator_axioms(tree, space, entry)
+    anchored = curve.AnchoredTree(tree)
+    found = _generator_axioms(anchored, space)
     if found is None:
-        return _scan_axioms(tree, space, entry)
+        return _scan_axioms(anchored, space)
     return [], *found
 
 
@@ -113,16 +110,12 @@ def _shape_violations(tree: MarkedTree, space: LinSpace) -> List[str]:
     return list(tree.validate().violations)
 
 
-def _automorphism(tree: MarkedTree, space: LinSpace, entry,
+def _automorphism(anchored: curve.AnchoredTree,
                   g: GroupElement) -> Optional[Correspondence]:
-    """The marked isomorphism from the tree to its remarking by g, if any.
-
-    The remarked tree shares components and nodes, so its entry maps are
-    the base tree's with the mark keys permuted."""
-    entry2 = {c: {w: pts[group_act(g, w)] for w in pts}
-              for c, pts in entry.items()}
-    return curve.are_isomorphic(tree, remarked(tree, space, g),
-                                entry1=entry, entry2=entry2)
+    """The automorphism of g, if any: the marked isomorphism from the tree
+    to itself sending mark w to mark g.w (infinity is fixed)."""
+    relabel = {w: group_act(g, w) for w in anchored.tree.marking}
+    return curve.marked_isomorphism(anchored, relabel)
 
 
 def _scaling_violations(tree: MarkedTree, space: LinSpace, chain,
@@ -144,16 +137,17 @@ def _scaling_violations(tree: MarkedTree, space: LinSpace, chain,
     return out
 
 
-def _scan_axioms(tree: MarkedTree, space: LinSpace, entry):
+def _scan_axioms(anchored: curve.AnchoredTree, space: LinSpace):
     """The axioms checked on every element of G: one search per element,
     then the scaling axiom for every scalar.  The failure path of
     validation, which words its violations, and the oracle its generator
     path is tested against; the tree must have passed
     :func:`_shape_violations`."""
+    tree = anchored.tree
     violations: List[str] = []
     corrs: Dict[Tuple[Vec, int], Correspondence] = {}
     for g in group_elements(space):
-        corr = _automorphism(tree, space, entry, g)
+        corr = _automorphism(anchored, g)
         if corr is None:
             violations.append(f"no marked isomorphism for (v={g.v}, xi={g.xi})")
         else:
@@ -179,7 +173,7 @@ def _primitive_scalar(fld) -> int:
     raise AssertionError("F_q^* has no generator")
 
 
-def _generator_axioms(tree: MarkedTree, space: LinSpace, entry):
+def _generator_axioms(anchored: curve.AnchoredTree, space: LinSpace):
     """The chain and every translation's component permutation, from the
     automorphisms of the generators of G alone; None when one of them is
     missing or the scalar generator breaks the scaling axiom.
@@ -193,10 +187,10 @@ def _generator_axioms(tree: MarkedTree, space: LinSpace, entry):
     component permutation is sigma^k pi_b sigma^-k, with sigma that of the
     scalar generator.
     """
-    fld = space.field
+    tree, fld = anchored.tree, space.field
     basis_perms = []
     for b in space.basis():
-        corr = _automorphism(tree, space, entry, GroupElement(space, b, 1))
+        corr = _automorphism(anchored, GroupElement(space, b, 1))
         if corr is None:
             return None
         basis_perms.append((b, corr.components))
@@ -204,8 +198,7 @@ def _generator_axioms(tree: MarkedTree, space: LinSpace, entry):
     gens = list(basis_perms)
     if space.q > 2:
         xi0 = _primitive_scalar(fld)
-        corr = _automorphism(tree, space, entry,
-                             GroupElement(space, space.zero, xi0))
+        corr = _automorphism(anchored, GroupElement(space, space.zero, xi0))
         if corr is None or _scaling_violations(tree, space, chain, corr, xi0):
             return None
         sigma = corr.components
@@ -304,6 +297,12 @@ def graft(sub_fern: Fern, quot_fern: Fern, complement: Subspace) -> Fern:
     infinity mark of each copy is glued to the corresponding quotient
     mark, and the copy indexed by u re-marks u + v' at the v' mark.
     """
+    return validate_fern(*_glue(sub_fern, quot_fern, complement))
+
+
+def _glue(sub_fern: Fern, quot_fern: Fern,
+          complement: Subspace) -> Tuple[MarkedTree, LinSpace]:
+    """The tree and the space of :func:`graft`, not yet validated."""
     sp_sub, sp_quot = sub_fern.space, quot_fern.space
     if sp_sub.vs != sp_quot.vs:
         raise ValueError("ferns live over different coordinate spaces")
@@ -338,8 +337,7 @@ def graft(sub_fern: Fern, quot_fern: Fern, complement: Subspace) -> Fern:
         qmark = sp_quot.reduce(u)
         q_cid, q_pt = quot_fern.tree.marking[qmark]
         nodes.append(curve.node((tag, inf_cid), inf_pt, ("quot", q_cid), q_pt))
-    tree = MarkedTree(fld, components, nodes, marking)
-    return validate_fern(tree, target)
+    return MarkedTree(fld, components, nodes, marking), target
 
 
 # ---------------------------------------------------------------------------

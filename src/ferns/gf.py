@@ -140,6 +140,26 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and _prime_factors(n) == [n]
 
 
+def _power_walk(p: int, modulus: Coeffs, gen: Coeffs, units: int) -> list:
+    """The packed values of gen^i for i < units, one multiplication by gen
+    per step: Horner's rule over gen's coefficients, where multiplying by
+    x shifts the coefficients up and folds the one leaving the top back in
+    through the monic modulus."""
+    d = len(modulus) - 1
+    fold = [-c % p for c in modulus[:d]]  # x^d as a residue
+    lead, rest = gen[-1], gen[-2::-1]
+    out, x = [], [1] + [0] * (d - 1)
+    for _ in range(units):
+        out.append(_pack(x, p))
+        y = [lead * b % p for b in x]
+        for c in rest:
+            t = y[-1]
+            y = [(a + t * f + c * b) % p
+                 for a, f, b in zip([0] + y[:-1], fold, x)]
+        x = y
+    return out
+
+
 #: Bound on every table a field builds: the field order (log, antilog and
 #: Zech tables, interned elements) and q^2 (the F_q scalar tables).
 _TABLE_LIMIT = 2 ** 16
@@ -281,11 +301,10 @@ class ExtField:
         factors = _prime_factors(units)
         gen = next(x.coeffs for x in self.interned[1:]
                    if all(power(x.coeffs, units // r) != (1,) for r in factors))
-        els, exp, x = self.interned, [], (1,)
-        for i in range(units):
-            exp.append(els[_pack(x, p)])
-            exp[i].lg = i
-            x = mulmod(x, gen)
+        els = self.interned
+        exp = [els[k] for k in _power_walk(p, f, gen, units)]
+        for i, el in enumerate(exp):
+            el.lg = i
         self.exp = exp * 2
         self.log_neg_one = els[p - 1].lg
         # 1 + g^i differs from g^i only in the constant digit; zero has lg None

@@ -5,7 +5,8 @@ stage is a genuine stable tree; ferns are assembled recursively, either as
 a single projective line with an injective linear marking (when the value
 field has room) or by grafting a fern on a random proper step onto a fern
 on the quotient.  A random coordinate change per component is applied at
-the end so that consumers never see a preferred presentation.
+the end so that consumers never see a preferred presentation; each fern
+is validated once, after that change.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from . import curve
 from .curve import MarkedTree, Mobius, ProjPoint
-from .fern import Fern, validate_fern
+from .fern import Fern, _glue, validate_fern
 from .gf import INF, ExtField, LinSpace, Subspace
 
 
@@ -126,46 +127,48 @@ def injective_linear_marking(space: LinSpace, rng: random.Random,
     return None
 
 
-def smooth_fern(space: LinSpace, rng: random.Random) -> Optional[Fern]:
+def _smooth_tree(space: LinSpace, rng: random.Random) -> Optional[MarkedTree]:
+    """The one-component tree of :func:`smooth_fern`, not yet validated."""
     lam = injective_linear_marking(space, rng)
     if lam is None:
         return None
     marking = {v: ProjPoint.affine(x) for v, x in
                ((v, lam[v]) for v in space.vectors())}
     marking[INF] = ProjPoint.infinity(space.field)
-    tree = curve.single_component_tree(space.field, marking,
+    return curve.single_component_tree(space.field, marking,
                                        cid=("P", space.sub.key()))
-    return validate_fern(tree, space)
+
+
+def smooth_fern(space: LinSpace, rng: random.Random) -> Optional[Fern]:
+    tree = _smooth_tree(space, rng)
+    return None if tree is None else validate_fern(tree, space)
 
 
 def random_fern(space: LinSpace, rng: random.Random, remap: bool = True) -> Fern:
     """A random fern on the space: smooth when possible and chosen, else a
-    graft along a random proper step with a random complement."""
+    graft along a random proper step with a random complement.  The tree
+    is validated once, after the coordinate change if there is one."""
     can_be_smooth = space.dim <= space.field.m * space.field.e  # room in K
     want_smooth = space.dim == 1 or (can_be_smooth and rng.random() < 0.5)
-    if want_smooth:
-        result = smooth_fern(space, rng)
-        if result is not None:
-            return _maybe_remap(result, rng, remap)
-    steps = space.proper_steps()
-    if not steps:
-        result = smooth_fern(space, rng)
-        if result is None:
-            raise ValueError("dimension-1 space over a field with no room")
-        return _maybe_remap(result, rng, remap)
-    w = rng.choice(steps)
-    sub_fern = random_fern(LinSpace(space.vs, w, space.mod), rng, remap=False)
-    quot_fern = random_fern(LinSpace(space.vs, space.sub, w), rng, remap=False)
-    complement = random_complement(space, w, rng)
-    from .fern import graft
-    result = graft(sub_fern, quot_fern, complement)
-    return _maybe_remap(result, rng, remap)
-
-
-def _maybe_remap(f: Fern, rng: random.Random, remap: bool) -> Fern:
-    if not remap:
-        return f
-    return validate_fern(random_remap(f.tree, rng), f.space)
+    tree = _smooth_tree(space, rng) if want_smooth else None
+    target = space
+    if tree is None:
+        steps = space.proper_steps()
+        if steps:
+            w = rng.choice(steps)
+            sub_fern = random_fern(LinSpace(space.vs, w, space.mod), rng,
+                                   remap=False)
+            quot_fern = random_fern(LinSpace(space.vs, space.sub, w), rng,
+                                    remap=False)
+            complement = random_complement(space, w, rng)
+            tree, target = _glue(sub_fern, quot_fern, complement)
+        else:
+            tree = _smooth_tree(space, rng)
+            if tree is None:
+                raise ValueError("dimension-1 space over a field with no room")
+    if remap:
+        tree = random_remap(tree, rng)
+    return validate_fern(tree, target)
 
 
 def random_complement(space: LinSpace, w: Subspace,

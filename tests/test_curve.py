@@ -59,11 +59,17 @@ def test_cross_ratio_degenerate_inputs():
         cross_ratio(ZERO, ONE, INFPT, INFPT)  # d = c escapes to infinity
 
 
+def between_triples(src, dst):
+    """The unique map sending the src triple to the dst triple in order."""
+    return Mobius.to_standard(*dst).inverse().compose(Mobius.to_standard(*src))
+
+
 def test_mobius_between_triples():
     src = (pt(4), pt(2), ONE)
     dst = (ZERO, pt(3), INFPT)
-    m = Mobius.between_triples(src, dst)
+    m = between_triples(src, dst)
     assert [m.apply(p) for p in src] == list(dst)
+    assert [Mobius.to_standard(*src).apply(p) for p in src] == [ZERO, ONE, INFPT]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +219,7 @@ def test_contract_to_component_agrees_with_triple_contraction(rng):
                 if len(set(pos)) < 3:
                     continue
                 tri = contract(t, {1, j, k}).tree
-                move = Mobius.between_triples(
+                move = between_triples(
                     tuple(pos), tuple(tri.marking[i][1] for i in (1, j, k)))
                 for lbl in t.marking:
                     image = tri.marking.get(lbl, tri.extra.get(lbl))

@@ -8,7 +8,8 @@ from ferns.curve import ProjPoint, single_component_tree
 from ferns.fern import (InvalidFern, LineData, contract_fern, drinfeld_psi,
                         expand_root_product, fern_violations, graft,
                         line_data, reciprocal_data, validate_fern)
-from ferns.gf import INF, LinSpace, Subspace, VSpace, field_make
+from ferns.gf import (INF, LinSpace, Subspace, VSpace, field_make,
+                      group_act, group_elements)
 from ferns.rand import (injective_linear_marking, random_fern,
                         random_pipeline_fern, random_remap)
 
@@ -278,6 +279,37 @@ def test_validate_accepts_remapped_pipeline_output(rng):
         assert again.flag.steps == fern.flag.steps
 
 
+def test_random_fern_validated_once(monkeypatch, rng):
+    # every fern random_fern builds, smooth or grafted, is validated
+    # exactly once, after its coordinate change, and is a valid fern
+    from ferns import rand
+    builds, validated = [], []
+    real_build, real_validate = rand.random_fern, rand.validate_fern
+
+    def build(*args, **kwargs):
+        builds.append(1)
+        return real_build(*args, **kwargs)
+
+    def validate(tree, sp):
+        validated.append(tree)
+        return real_validate(tree, sp)
+
+    monkeypatch.setattr(rand, "random_fern", build)
+    monkeypatch.setattr(rand, "validate_fern", validate)
+    grafted = 0
+    for sp in [space(3, 2), space(2, 3), space(2, 4), space(2, 2, 2),
+               space(1, 3)]:
+        for _ in range(4):
+            builds.clear()
+            validated.clear()
+            f = rand.random_fern(sp, rng)
+            grafted += not f.is_smooth()
+            assert len(validated) == len(builds)
+            assert validated[-1] is f.tree
+            assert real_validate(f.tree, sp).flag == f.flag
+    assert 6 <= grafted < 20
+
+
 # ---------------------------------------------------------------------------
 # line data and reciprocal data
 # ---------------------------------------------------------------------------
@@ -412,7 +444,7 @@ def scan_axioms(tree, sp):
     violations = fern_mod._shape_violations(tree, sp)
     if violations:
         return violations, None, None
-    return fern_mod._scan_axioms(tree, sp, curve._entry_maps(tree))
+    return fern_mod._scan_axioms(curve.AnchoredTree(tree), sp)
 
 
 def stabilizer_flag(sp, chain, perms):
@@ -445,7 +477,7 @@ def assert_generators_match_scan(tree, sp):
     """Same acceptance, translation permutations, flag and violations."""
     assert not fern_mod._shape_violations(tree, sp)
     violations, chain, perms = scan_axioms(tree, sp)
-    found = fern_mod._generator_axioms(tree, sp, curve._entry_maps(tree))
+    found = fern_mod._generator_axioms(curve.AnchoredTree(tree), sp)
     assert (found is None) == bool(violations)
     assert fern_violations(tree, sp) == violations
     if found is None:
@@ -517,13 +549,13 @@ def test_scaling_failure_falls_back_to_scan(p, e):
 
 def test_generator_searches_per_validation(monkeypatch):
     calls = []
-    real = curve.are_isomorphic
+    real = curve.marked_isomorphism
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(curve, "are_isomorphic", counted)
+    monkeypatch.setattr(curve, "marked_isomorphism", counted)
     rng = random.Random(5)
     for (n, p, e, m), searches in [((3, 2, 1, 1), 3), ((3, 3, 1, 1), 4),
                                    ((2, 2, 2, 1), 3)]:
@@ -532,3 +564,116 @@ def test_generator_searches_per_validation(monkeypatch):
         calls.clear()
         validate_fern(f.tree, sp)
         assert len(calls) == searches
+
+
+# ---------------------------------------------------------------------------
+# automorphisms on the tree's own data against a relabelled copy
+# ---------------------------------------------------------------------------
+
+def remarked(tree, g):
+    """The same tree with marking w -> position of (g.w); infinity is fixed."""
+    marking = {w: tree.marking[group_act(g, w)] for w in tree.marking}
+    return tree.with_marking(marking, extra={})
+
+
+def reference_isomorphism(t1, t2):
+    """The label-preserving isomorphism found from fresh entry maps of both
+    trees, anchors sorted per call: the search before per-tree data."""
+    entry1, entry2 = curve._entry_maps(t1), curve._entry_maps(t2)
+    comp_map, mobius = {}, {}
+    for c in t1.components:
+        by_point = {}
+        for lbl, pt in entry1[c].items():
+            by_point.setdefault(pt, []).append(lbl)
+        anchors = sorted((min(lbls, key=repr) for lbls in by_point.values()),
+                         key=repr)[:3]
+        candidates = [d for d in t2.components
+                      if len({entry2[d][a] for a in anchors}) == 3]
+        if not candidates:
+            return None
+        assert len(candidates) == 1
+        d = comp_map[c] = candidates[0]
+        to_standard = curve.Mobius.to_standard
+        mobius[c] = to_standard(*(entry2[d][a] for a in anchors)).inverse() \
+            .compose(to_standard(*(entry1[c][a] for a in anchors)))
+    if len(set(comp_map.values())) != len(comp_map):
+        return None
+    for lbl, (cid, pt) in t1.marking.items():
+        cid2, pt2 = t2.marking[lbl]
+        if comp_map[cid] != cid2 or mobius[cid].apply(pt) != pt2:
+            return None
+    for nd in t1.nodes:
+        (c1, p1), (c2, p2) = tuple(nd)
+        if curve.node(comp_map[c1], mobius[c1].apply(p1), comp_map[c2],
+                      mobius[c2].apply(p2)) not in t2.nodes:
+            return None
+    return curve.Correspondence(comp_map, mobius)
+
+
+def assert_automorphisms_match_reference(tree, sp):
+    """For every g in G, the automorphism found on the tree's own data is
+    the isomorphism to the copy remarked by g: the same component map and
+    equal maps, or None on both sides.  Returns how many were None."""
+    anchored = curve.AnchoredTree(tree)
+    missing = 0
+    for g in group_elements(sp):
+        found = fern_mod._automorphism(anchored, g)
+        expected = reference_isomorphism(tree, remarked(tree, g))
+        assert (found is None) == (expected is None), (g.v, g.xi)
+        if found is None:
+            missing += 1
+        else:
+            assert found.components == expected.components
+            assert found.maps == expected.maps
+    return missing
+
+
+def run_automorphism_oracle(configs, seed):
+    rng = random.Random(seed)
+    searched = missing = 0
+    for (n, p, e, m), count in configs:
+        sp = LinSpace.full(VSpace(field_make(p, e, m), n))
+        for _ in range(count):
+            for tree in perturbed_trees(random_fern(sp, rng), rng):
+                missing += assert_automorphisms_match_reference(tree, sp)
+                searched += len(group_elements(sp))
+    return searched, missing
+
+
+# q in {2, 3, 4, 5, 8}
+AUTOMORPHISM_QUICK = [((2, 2, 1, 1), 2), ((3, 2, 1, 1), 1), ((2, 3, 1, 1), 2),
+                      ((1, 5, 1, 1), 2), ((1, 2, 2, 2), 2), ((2, 2, 2, 1), 1),
+                      ((1, 2, 3, 1), 1)]
+AUTOMORPHISM_SWEEP = [((2, 2, 1, 1), 10), ((3, 2, 1, 1), 10),
+                      ((3, 3, 1, 1), 2), ((2, 3, 1, 1), 10),
+                      ((2, 2, 1, 2), 10), ((2, 5, 1, 1), 2), ((1, 5, 1, 1), 10),
+                      ((2, 2, 2, 1), 5), ((1, 2, 2, 2), 10), ((1, 2, 3, 1), 10),
+                      ((4, 2, 1, 1), 2)]
+
+
+def test_automorphisms_match_remarked_copy_quick():
+    searched, missing = run_automorphism_oracle(AUTOMORPHISM_QUICK, 0)
+    assert searched >= 300 and 0 < missing < searched
+
+
+@pytest.mark.slow
+def test_automorphisms_match_remarked_copy_sweep():
+    searched, missing = run_automorphism_oracle(AUTOMORPHISM_SWEEP, 1)
+    assert searched >= 3000 and 0 < missing < searched
+
+
+def test_are_isomorphic_matches_reference(rng):
+    # label-preserving searches between two presentations of one fern,
+    # and against a copy with two marks swapped
+    for n, q, m in [(2, 2, 1), (2, 3, 1), (3, 2, 1), (1, 4, 2)]:
+        sp = space(n, q, m)
+        for _ in range(3):
+            f = random_fern(sp, rng)
+            for other in [random_remap(f.tree, rng)] + \
+                    perturbed_trees(f, rng)[1:]:
+                found = curve.are_isomorphic(f.tree, other)
+                expected = reference_isomorphism(f.tree, other)
+                assert (found is None) == (expected is None)
+                if found is not None:
+                    assert found.components == expected.components
+                    assert found.maps == expected.maps

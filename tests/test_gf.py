@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ferns import gf
 from ferns.gf import (INF, GroupElement, LinSpace, Subspace, VSpace,
                       adapted_basis, canonical_modulus, complete_flags,
                       field_make, flags, gaussian_binomial, group_act,
@@ -127,6 +128,45 @@ def test_arithmetic_matches_sympy(p, e, m):
             s, _, g = gt.gf_gcdex(big(a), mod, p, ZZ)
             assert g == [1]
             assert a.inverse() == el(s)
+
+
+def reference_tables(fld):
+    """exp (as packed values), lg and zech from the polynomial walk: one
+    multiply-and-reduce by the generator per element."""
+    p, f, units = fld.p, fld.modulus, fld.units
+
+    def mulmod(a, b):
+        return gf._poly_divmod(gf._poly_mul(a, b, p), f, p)[1]
+
+    def power(a, k):
+        out = (1,)
+        while k:
+            if k & 1:
+                out = mulmod(out, a)
+            a, k = mulmod(a, a), k >> 1
+        return out
+
+    factors = gf._prime_factors(units)
+    gen = next(x.coeffs for x in fld.interned[1:]
+               if all(power(x.coeffs, units // r) != (1,) for r in factors))
+    exp, x = [], (1,)
+    for _ in range(units):
+        exp.append(gf._pack(x, p))
+        x = mulmod(x, gen)
+    lg = {k: i for i, k in enumerate(exp)}
+    zech = [lg.get(k - k % p + (k + 1) % p) for k in exp]
+    return exp, lg, zech
+
+
+@pytest.mark.parametrize("params", _FIELDS + [(5, 1, 3), (7, 1, 3),
+                                              (2, 1, 16)])
+def test_tables_match_polynomial_walk(params):
+    fld = field_make(*params)
+    exp, lg, zech = reference_tables(fld)
+    assert [x.pk for x in fld.exp] == exp * 2
+    assert [x.lg for x in fld.interned] == [None] + [
+        lg[k] for k in range(1, fld.order)]
+    assert fld.zech == zech
 
 
 def test_element_json_identity_order():
