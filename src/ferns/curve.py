@@ -9,6 +9,9 @@ surgeries coordinate transports:
 * ``contract``        forget marks and collapse unstable components,
 * ``stabilize``       insert a new mark, sprouting a component if needed,
 * ``contract_to_component``  squash everything onto one component,
+* ``entry_points``    where each mark lands on one component when all the
+                      others are collapsed, read off the tree without
+                      building a contraction,
 * ``marked_isomorphism``  find the unique isomorphism that relabels the
                       marks by a given bijection (an automorphism when
                       no second tree is given),
@@ -477,7 +480,10 @@ def contract_to_component(t: MarkedTree, i) -> ContractionResult:
 
     All marks are re-marked on the surviving projective line; marks from
     collapsed branches land at the branch attachment point, so the result
-    may fail injectivity and is not validated.
+    may fail injectivity and is not validated.  The package reads these
+    positions through :func:`entry_points` instead; this function stays
+    as the tree-building form that ``tests/test_curve.py`` checks and
+    ``perfbench/spans.py`` traces by name.
     """
     if i not in t.marking:
         raise ValueError(f"mark {i!r} is not on the tree")
@@ -587,26 +593,33 @@ class Correspondence:
         return (self.components[cid], self.maps[cid].apply(pt))
 
 
+def entry_points(t: MarkedTree, c) -> Dict[object, ProjPoint]:
+    """The point of component c through which every mark is reached: its
+    own point for a mark on c, else the node point toward its branch.
+
+    These are the marks' positions on c after every other component is
+    collapsed, as :func:`contract_to_component` does, and on c after any
+    contraction in which c survives, since contraction never moves a
+    surviving component's coordinate.
+    """
+    entry = dict(t.marks_on(c))
+    for nb, pt_here in t.neighbors(c).items():
+        # every mark whose component sits in the branch through nb
+        stack, branch = [nb], set()
+        while stack:
+            d = stack.pop()
+            if d in branch or d == c:
+                continue
+            branch.add(d)
+            stack.extend(t.neighbors(d))
+            for lbl in t.marks_on(d):
+                entry[lbl] = pt_here
+    return entry
+
+
 def _entry_maps(t: MarkedTree) -> Dict[object, Dict[object, ProjPoint]]:
     """For each component, the point through which every mark is reached."""
-    out: Dict[object, Dict[object, ProjPoint]] = {}
-    comp_of = {lbl: cid for lbl, (cid, _) in t.marking.items()}
-    for c in t.components:
-        entry = {lbl: pt for lbl, pt in t.marks_on(c).items()}
-        for nb, pt_here in t.neighbors(c).items():
-            # every mark whose component sits in the branch through nb
-            stack, branch = [nb], set()
-            while stack:
-                d = stack.pop()
-                if d in branch or d == c:
-                    continue
-                branch.add(d)
-                stack.extend(t.neighbors(d))
-            for lbl, cid in comp_of.items():
-                if cid in branch:
-                    entry[lbl] = pt_here
-        out[c] = entry
-    return out
+    return {c: entry_points(t, c) for c in t.components}
 
 
 def _mark_key(label) -> str:

@@ -19,11 +19,12 @@ translations.
 Derived data:
 
 * ``line_data``        the translation values read off the contraction to
-                       the infinity component (linear, kernel the second
-                       to last flag step),
+                       the infinity component, that is, at the marks'
+                       entry points on it (linear, kernel the second to
+                       last flag step),
 * ``reciprocal_data``  the values read off the contraction to the zero
-                       component (reciprocal axioms, supported on the
-                       first flag step),
+                       component, the same way (reciprocal axioms,
+                       supported on the first flag step),
 * ``drinfeld_psi``     the additive polynomial with kernel the image of an
                        injective line datum and formal linear coefficient.
 """
@@ -344,9 +345,9 @@ def _glue(sub_fern: Fern, quot_fern: Fern,
 # Line data, reciprocal data, and the additive polynomial
 # ---------------------------------------------------------------------------
 
-def _first_off(tree: MarkedTree, space: LinSpace, avoid) -> Vec:
+def _first_off(entry: dict, space: LinSpace, avoid) -> Vec:
     for v in space.vectors():
-        if tree.marking[v][1] not in avoid:
+        if entry[v] not in avoid:
             return v
     raise AssertionError("no anchor mark available")
 
@@ -396,17 +397,15 @@ class RecipData:
         return [v for v, x in self.values.items() if x]
 
 
-def _line_values(tree: MarkedTree, space: LinSpace, origin,
-                 pole) -> Dict[Vec, FieldElement]:
-    """Values of the vector marks other than ``pole`` on the contraction to
-    the pole's component, in the coordinate that puts the ``origin`` mark
-    at zero, the pole at infinity and the first other mark at one."""
-    squashed = curve.contract_to_component(tree, pole).tree
-    pos = {lbl: squashed.marking[lbl][1] for lbl in list(space.vectors()) + [INF]}
-    anchor = _first_off(squashed, space, {pos[origin], pos[pole]})
-    coord = Mobius.to_standard(pos[origin], pos[anchor], pos[pole])
-    return {v: coord.apply(pos[v]).affine_value()
-            for v in space.vectors() if v != pole}
+def _line_values(entry: dict, space: LinSpace, origin, pole,
+                 marks) -> Dict[Vec, FieldElement]:
+    """Values of the vector ``marks`` (not ``pole``) on one component,
+    given every mark's entry point there (:func:`curve.entry_points`), in
+    the coordinate that puts the ``origin`` mark at zero, the pole at
+    infinity and the first other mark of ``space`` at one."""
+    anchor = _first_off(entry, space, {entry[origin], entry[pole]})
+    coord = Mobius.to_standard(entry[origin], entry[anchor], entry[pole])
+    return {v: coord.apply(entry[v]).affine_value() for v in marks}
 
 
 def line_data(f: Fern) -> LineData:
@@ -416,7 +415,9 @@ def line_data(f: Fern) -> LineData:
     infinity; the scale is then canonicalized.  The kernel is exactly the
     second to last step of the associated flag.
     """
-    values = _line_values(f.tree, f.space, f.space.zero, INF)
+    entry = curve.entry_points(f.tree, f.tree.marking[INF][0])
+    values = _line_values(entry, f.space, f.space.zero, INF,
+                          f.space.vectors())
     return LineData(f.space, _canonical_scale(f.space, values))
 
 
@@ -427,7 +428,10 @@ def reciprocal_data(f: Fern) -> RecipData:
     infinity, so the values vanish exactly on the marks that collapse onto
     the infinity direction (everything off the first flag step).
     """
-    values = _line_values(f.tree, f.space, INF, f.space.zero)
+    zero = f.space.zero
+    entry = curve.entry_points(f.tree, f.tree.marking[zero][0])
+    values = _line_values(entry, f.space, INF, zero,
+                          [v for v in f.space.vectors() if v != zero])
     return RecipData(f.space, _canonical_scale(f.space, values))
 
 

@@ -664,6 +664,7 @@ class LinSpace:
         self._basis: Optional[tuple] = None
         self._coords: dict = {}  # basis (None: canonical) -> {vector: coords}
         self._subquotients: dict = {}
+        self._steps: dict = {}  # d -> subspace_steps(d)
         #: universal.compatibility_checker's checker for this space, once built
         self.checker = None
 
@@ -784,15 +785,24 @@ class LinSpace:
         return tuple(coeffs)
 
     def subspace_steps(self, d: int) -> list:
-        """Ambient subspaces W with U <= W <= S and dim W/U = d."""
-        quotient_subs = subspaces(VSpace(self.field, self.dim), d) if self.dim else []
-        if d == 0:
-            return [self.mod]
-        out = []
-        for qs in quotient_subs:
-            lifted = [self.combine(row) for row in qs.rows]
-            out.append(Subspace.from_vectors(self.vs, list(self.mod.rows) + lifted))
-        return sorted(set(out), key=Subspace.key)
+        """Ambient subspaces W with U <= W <= S and dim W/U = d, sorted by
+        key; built once per d and kept on this space, returned as a new
+        list."""
+        out = self._steps.get(d)
+        if out is None:
+            if not 0 <= d <= self.dim:
+                raise ValueError("dimension out of range")
+            if d == 0:
+                out = (self.mod,)
+            else:
+                lifted = (
+                    Subspace.from_vectors(
+                        self.vs, list(self.mod.rows)
+                        + [self.combine(row) for row in qs.rows])
+                    for qs in subspaces(VSpace(self.field, self.dim), d))
+                out = tuple(sorted(set(lifted), key=Subspace.key))
+            self._steps[d] = out
+        return list(out)
 
     def proper_steps(self) -> list:
         """All W with U < W < S (candidates for contraction and grafting)."""

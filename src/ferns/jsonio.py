@@ -139,17 +139,29 @@ def space_from_json(fld: ExtField, data: dict) -> LinSpace:
                     subspace_from_json(vs, data["modulo"]))
 
 
+def _space_summary(space: LinSpace) -> dict:
+    """The fields a fern document carries beside ``space``, derived from
+    it: the ambient F_q^n and the space's canonical basis."""
+    return {"V": {"n": space.vs.n, "q": space.q},
+            "flag_basis": [list(b) for b in space.basis()]}
+
+
 def fern_to_json(f: Fern) -> dict:
     out = tree_to_json(f.tree)
-    out["V"] = {"n": f.space.vs.n, "q": f.space.q}
-    out["flag_basis"] = [list(b) for b in f.space.basis()]
+    out.update(_space_summary(f.space))
     out["space"] = space_to_json(f.space)
     return out
 
 
 def fern_from_json(data: dict) -> Fern:
+    """The validated fern of a document; ``V`` and ``flag_basis``, where
+    present, must agree with the space it reads (ValueError if not)."""
     tree = tree_from_json(data)
     space = space_from_json(tree.field, data["space"])
+    for key, expected in _space_summary(space).items():
+        if key in data and data[key] != expected:
+            raise ValueError(f"{key} {data[key]!r} does not match the space, "
+                             f"which gives {expected!r}")
     return validate_fern(tree, space)
 
 

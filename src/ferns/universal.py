@@ -22,9 +22,11 @@ against the full defining equations, and must satisfy exactly one
 component's constraints.  ``check_equations`` and ``locate_component``
 answer the same questions for a single call.
 ``classify`` goes the other way: it reads one functional class per
-nonzero subspace off a fern's contractions, giving a point of the
-compactified period domain whose chart coordinates recover the fiber
-parameters exactly.
+nonzero subspace off a fern, giving a point of the compactified period
+domain whose chart coordinates recover the fiber parameters exactly.  The
+class of W is the line datum of the contraction to W and infinity; it is
+read at the marks' entry points on one component of the path from the
+infinity mark to the 0-mark, with no contraction built.
 """
 
 from __future__ import annotations
@@ -231,7 +233,7 @@ class ChartPoint:
     t: tuple  # (n-1) field elements
     stratum: Flag
 
-    @property
+    @cached_property
     def stratum_indices(self) -> tuple:
         """(i_0 = 0, i_1, ..., i_m = n): positions of the stratum steps."""
         return tuple(self.chart.flag.steps.index(s) for s in self.stratum.steps)
@@ -533,9 +535,6 @@ class ClassPoint:
     space: LinSpace
     functionals: dict  # Subspace -> tuple of FieldElements
 
-    def basis_of(self, w: Subspace) -> tuple:
-        return self.space.subquotient(w).basis()
-
     def value(self, w: Subspace, v: Vec) -> FieldElement:
         coords = self.space.subquotient(w).coords(v)
         fld = self.space.field
@@ -554,22 +553,42 @@ def canonical_functional(values: Sequence[FieldElement]) -> tuple:
 
 
 def classify(f: Fern) -> ClassPoint:
-    """The functional tuple of a fern: for each nonzero subspace, the line
-    values of the contraction to it, canonically scaled on its basis.  The
-    contracted trees are not re-validated."""
+    """The functional tuple of a fern: for each nonzero subspace W, the
+    line values of the contraction to W and infinity, canonically scaled
+    on the basis of W.
+
+    No contraction is built.  Contracting keeps the coordinate of every
+    surviving component and lands each forgotten branch at its node
+    point, so that contraction, squashed onto its infinity component, is
+    one component c_W of the fern with each mark of W at its entry point
+    there (:func:`curve.entry_points`).  c_W is the first component on
+    the path from the infinity mark to the 0-mark where the marks of W
+    enter through at least two points.  None of them enters c_W through
+    the infinity mark's point: a mark of W on that side sits on or hangs
+    off an earlier path component, which the 0-mark enters through
+    another point, so that earlier component would come first.
+    """
     space = f.space
+    path = [curve.entry_points(f.tree, c) for c in reversed(f.chain)]
     functionals = {}
     for d in range(1, space.dim + 1):
         for w in space.subspace_steps(d):
-            tree = f.tree
-            if w != space.sub:
-                keep = [v for v in space.vectors() if w.contains(v)] + [INF]
-                tree = curve.contract(f.tree, keep).tree
             sub = space.subquotient(w)
-            values = fern_mod._line_values(tree, sub, sub.zero, INF)
-            functionals[w] = canonical_functional(
-                [values[b] for b in sub.basis()])
+            basis = sub.basis()
+            values = fern_mod._line_values(_separating_entry(path, sub), sub,
+                                           sub.zero, INF, basis)
+            functionals[w] = canonical_functional([values[b] for b in basis])
     return ClassPoint(space, functionals)
+
+
+def _separating_entry(path: list, sub: LinSpace) -> dict:
+    """The entry points of the first component on ``path`` where the marks
+    of ``sub`` enter through two or more points."""
+    for entry in path:
+        if len({entry[v] for v in sub.vectors()}) >= 2:
+            return entry
+    raise AssertionError("no component on the infinity-to-zero path "
+                         "separates the marks of the subspace")
 
 
 def chart_coords(point: ClassPoint, chart: Chart) -> tuple:

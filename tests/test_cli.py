@@ -14,6 +14,7 @@ and review the diff.
 
 import contextlib
 import io
+import json
 import os
 import time
 from pathlib import Path
@@ -104,6 +105,19 @@ def test_bad_fern_parameters_exit_2(argv, monkeypatch):
     assert code == 2, err
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key,value", [("V", {"n": 2, "q": 2}),
+                                       ("flag_basis", [[0, 0, 1]])])
+def test_mismatched_fern_summary_exit_2(key, value, tmp_path):
+    data = json.loads((GOLDEN / "inputs" / "gf2_n3.json").read_text())
+    data[key] = value
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["classify", "--in", str(path)])
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: malformed fern JSON") and key in err
 
 
 @pytest.mark.parametrize("exc,code,prefix", [

@@ -280,6 +280,19 @@ def test_linspace_subspace_steps():
     assert all(s.contains_subspace(w) for s in steps)
 
 
+def test_linspace_subspace_steps_built_once(monkeypatch):
+    space = LinSpace.full(VSpace(field_make(2), 3))
+    expected = [list(space.subspace_steps(d)) for d in range(4)]
+    space.subspace_steps(2).clear()  # a caller's copy, not the memo
+    monkeypatch.setattr(gf, "subspaces",
+                        lambda *args: pytest.fail("subspaces rebuilt"))
+    assert [space.subspace_steps(d) for d in range(4)] == expected
+    for d in (-1, 4):
+        with pytest.raises(ValueError):
+            space.subspace_steps(d)
+    assert len(space._steps) == space.dim + 1
+
+
 # ---------------------------------------------------------------------------
 # the group
 # ---------------------------------------------------------------------------

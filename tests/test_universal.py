@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ferns import curve
+from ferns import fern as fern_mod
 from ferns.curve import ProjPoint
-from ferns.fern import line_data
+from ferns.fern import Fern, contract_fern, line_data, reciprocal_data
 from ferns.gf import (INF, GroupElement, LinSpace, Subspace, VSpace,
                       complete_flags, field_make, group_elements, group_mul)
 from ferns.rand import random_fern, random_pipeline_fern
@@ -107,6 +108,13 @@ def test_chart_point_counts():
     assert len(chart_points(standard_chart(space(2, 2, 2)))) == 3
     assert len(chart_points(standard_chart(space(2, 3)))) == 1
     assert len(chart_points(standard_chart(space(3, 2)))) == 1
+
+
+def test_stratum_indices_computed_once():
+    sp = space(3, 2)
+    cp = chart_point(standard_chart(sp), (sp.field.zero, sp.field.zero))
+    assert cp.stratum_indices == (0, 1, 2, 3)
+    assert cp.stratum_indices is cp.stratum_indices
 
 
 def test_chart_requires_adapted_basis():
@@ -416,7 +424,7 @@ def test_classify_smooth_restrictions_of_global_datum(rng):
     point = classify(fb)
     ld = line_data(fb)
     for w, values in point.functionals.items():
-        basis = point.basis_of(w)
+        basis = sp.subquotient(w).basis()
         lam = [ld.values[b] for b in basis]
         # proportional to the global datum restricted to w
         for i in range(len(basis)):
@@ -500,7 +508,8 @@ def test_bv_member_rejects_incompatible_tuple():
     w_plane = next(w for w in sp.subspace_steps(2)
                    if w.rows == ((1, 0, 0), (0, 1, 0)))
     full = sp.sub
-    restricted = [point.value(full, b) for b in point.basis_of(w_plane)]
+    restricted = [point.value(full, b)
+                  for b in sp.subquotient(w_plane).basis()]
     small = point.functionals[w_plane]
     assert restricted[0] * small[1] != restricted[1] * small[0]
     assert not bv_member(point)
@@ -528,6 +537,147 @@ def test_functional_candidates_count():
     sp2 = space(2, 2, 2)
     for w in sp2.subspace_steps(2):
         assert len(functional_candidates(sp2, w)) == 5
+
+
+# ---------------------------------------------------------------------------
+# classification against contraction-based references
+# ---------------------------------------------------------------------------
+
+def reference_line_values(tree, sp, origin, pole):
+    """Line values read off a built contraction: every component squashed
+    onto the pole's, origin at zero, pole at infinity, first other mark at
+    one."""
+    squashed = curve.contract_to_component(tree, pole).tree
+    pos = {lbl: squashed.marking[lbl][1] for lbl in list(sp.vectors()) + [INF]}
+    anchor = next(v for v in sp.vectors()
+                  if pos[v] not in (pos[origin], pos[pole]))
+    coord = curve.Mobius.to_standard(pos[origin], pos[anchor], pos[pole])
+    return {v: coord.apply(pos[v]).affine_value()
+            for v in sp.vectors() if v != pole}
+
+
+def reference_classify(f):
+    """For each nonzero W: contract the fern to the marks of W and
+    infinity, then read the line values of the contraction."""
+    sp = f.space
+    functionals = {}
+    for d in range(1, sp.dim + 1):
+        for w in sp.subspace_steps(d):
+            tree = f.tree
+            if w != sp.sub:
+                keep = [v for v in sp.vectors() if w.contains(v)] + [INF]
+                tree = curve.contract(f.tree, keep).tree
+            sub = sp.subquotient(w)
+            values = reference_line_values(tree, sub, sub.zero, INF)
+            functionals[w] = universal.canonical_functional(
+                [values[b] for b in sub.basis()])
+    return functionals
+
+
+def assert_matches_references(f):
+    assert classify(f).functionals == reference_classify(f)
+    sp = f.space
+    line = reference_line_values(f.tree, sp, sp.zero, INF)
+    assert line_data(f).values == fern_mod._canonical_scale(sp, line)
+    recip = reference_line_values(f.tree, sp, INF, sp.zero)
+    assert reciprocal_data(f).values == fern_mod._canonical_scale(sp, recip)
+
+
+def sampled_fibers(n, p, e, m, count, seed):
+    """``count`` seeded chart points over every complete flag of F_q^n,
+    with their fibers."""
+    sp = LinSpace.full(VSpace(field_make(p, e, m), n))
+    points = [cp for flag in sorted(complete_flags(sp.vs), key=lambda f: f.key())
+              for cp in chart_points(Chart.for_flag(sp, flag))]
+    picked = random.Random(seed).sample(points, min(count, len(points)))
+    return [fiber(cp) for cp in picked]
+
+
+FIBER_CONFIGS = [(4, 2, 1, 1), (3, 2, 1, 2), (3, 3, 1, 1), (2, 2, 2, 1),
+                 (2, 5, 1, 1), (2, 2, 1, 8)]
+
+
+def quotient_spaces():
+    """F_q^3 modulo a line, and a plane of F_q^3 modulo a line in it."""
+    for q in (2, 3):
+        vs = space(3, q).vs
+        line = Subspace.from_vectors(vs, [(0, 0, 1)])
+        plane = Subspace.from_vectors(vs, [(0, 1, 0), (0, 0, 1)])
+        yield LinSpace(vs, Subspace.full(vs), line)
+        yield LinSpace(vs, plane, line)
+
+
+def built_ferns(seed, rounds):
+    """random_fern results, their contract_fern results, and ferns on
+    quotient spaces with a nonzero modulus, fibers over their charts
+    among them."""
+    rng = random.Random(seed)
+    spaces = [space(*c) for c in [(2, 2, 2), (3, 2, 1), (2, 3, 1), (3, 3, 1),
+                                  (2, 4, 1)]]
+    for _ in range(rounds):
+        for sp in spaces:
+            f = random_fern(sp, rng)
+            yield f
+            for w in sp.proper_steps():
+                yield contract_fern(f, w)
+    for sp in quotient_spaces():
+        for _ in range(rounds):
+            yield random_fern(sp, rng)
+        chart = Chart(sp)
+        for cp in chart_points(chart):
+            yield fiber(cp)
+
+
+@pytest.mark.parametrize("config", FIBER_CONFIGS)
+def test_classify_matches_contraction_reference_on_fibers(config):
+    for f in sampled_fibers(*config, count=6, seed=1):
+        assert_matches_references(f)
+
+
+def test_classify_matches_contraction_reference_on_built_ferns():
+    quotients = 0
+    for f in built_ferns(seed=0, rounds=2):
+        assert_matches_references(f)
+        quotients += f.space.mod.dim > 0
+    assert quotients >= 8
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("config", FIBER_CONFIGS)
+def test_classify_matches_contraction_reference_on_fibers_wide(config):
+    for f in sampled_fibers(*config, count=120, seed=2):
+        assert_matches_references(f)
+
+
+@pytest.mark.slow
+def test_classify_matches_contraction_reference_on_built_ferns_wide():
+    for f in built_ferns(seed=3, rounds=12):
+        assert_matches_references(f)
+
+
+def test_classify_builds_no_contraction(monkeypatch):
+    ferns = sampled_fibers(3, 2, 1, 1, count=4, seed=0) \
+        + list(itertools.islice(built_ferns(seed=0, rounds=1), 6))
+    expected = [(classify(f).functionals, line_data(f).values,
+                 reciprocal_data(f).values) for f in ferns]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a contraction was built")
+
+    monkeypatch.setattr(curve, "contract", refuse)
+    monkeypatch.setattr(curve, "contract_to_component", refuse)
+    assert [(classify(f).functionals, line_data(f).values,
+             reciprocal_data(f).values) for f in ferns] == expected
+
+
+def test_classify_raises_when_no_path_component_separates():
+    sp = space(2, 2)
+    fb = fiber(chart_point(standard_chart(sp), (sp.field.zero,)))
+    # the infinity component alone: the marks of each line of the first
+    # flag step reach it through one node
+    cut = Fern(fb.tree, sp, fb.chain[-1:], fb.flag)
+    with pytest.raises(AssertionError, match="separates"):
+        classify(cut)
 
 
 # ---------------------------------------------------------------------------
