@@ -25,11 +25,11 @@ import sys
 from typing import List, Optional
 
 from . import census as census_mod
-from . import curve, jsonio, verify
+from . import jsonio, verify
 from .fern import InvalidFern, contract_fern, drinfeld_psi, graft, line_data
 from .gf import LinSpace, Subspace, VSpace, field_make
 from .universal import (Chart, chart_coords, chart_point, chart_points,
-                        classify, fiber)
+                        classify, fiber, round_trip)
 
 
 class UsageError(ValueError):
@@ -199,17 +199,14 @@ def cmd_roundtrip(args) -> int:
     for flag in sorted(complete_flags(space.vs), key=lambda f: f.key()):
         chart = Chart.for_flag(space, flag)
         for cp in chart_points(chart):
-            fb = fiber(cp)
-            t_back = chart_coords(classify(fb), chart)
-            same = t_back == cp.t and curve.are_isomorphic(
-                fb.tree, fiber(chart_point(chart, t_back)).tree) is not None
-            failures += 0 if same else 1
+            fb, failure = round_trip(cp)
+            failures += 0 if failure is None else 1
             lines.append({
                 "flag": flag.key(),
                 "t": [list(x.coeffs) for x in cp.t],
                 "stratum": cp.stratum.key(),
                 "components": len(fb.tree.components),
-                "roundtrip_ok": same,
+                "roundtrip_ok": failure is None,
             })
     _emit(args, {"points": lines, "failures": failures}, _invocation(args))
     return 1 if failures else 0

@@ -115,11 +115,19 @@ class Mobius:
         return cls(fld.one, fld.zero, fld.zero, fld.one)
 
     @classmethod
+    def zero_infinity(cls, p0: ProjPoint, pinf: ProjPoint) -> "Mobius":
+        """A map with p0 -> (0:1) and pinf -> (1:0), unique up to a scaling
+        z -> c z."""
+        if p0 == pinf:
+            raise DegenerateInput("anchor points must be distinct")
+        return cls(p0.y, -p0.x, pinf.y, -pinf.x)
+
+    @classmethod
     def to_standard(cls, p0: ProjPoint, p1: ProjPoint, pinf: ProjPoint) -> "Mobius":
         """The unique map with p0 -> (0:1), p1 -> (1:1), pinf -> (1:0)."""
-        if p0 == p1 or p1 == pinf or p0 == pinf:
+        if p0 == p1 or p1 == pinf:
             raise DegenerateInput("anchor points must be pairwise distinct")
-        m0 = cls(p0.y, -p0.x, pinf.y, -pinf.x)
+        m0 = cls.zero_infinity(p0, pinf)
         img = m0.apply(p1)
         return cls(img.y * m0.a, img.y * m0.b, img.x * m0.c, img.x * m0.d)
 
@@ -142,18 +150,6 @@ class Mobius:
 
     def __repr__(self):
         return f"Mobius{self.normalized()}"
-
-
-def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> FieldElement:
-    """The scalar fixed by cross_ratio((0:1), (1:1), (1:0), (x:1)) = x.
-
-    Requires a, b, c pairwise distinct and d != c (otherwise the value
-    escapes to infinity).  Invariant under simultaneous Moebius moves.
-    """
-    value = Mobius.to_standard(a, b, c).apply(d)
-    if value.is_infinity:
-        raise DegenerateInput("cross ratio escapes to infinity (d = c)")
-    return value.affine_value()
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,22 @@ one of these searches fails, it scans all of G, so that the violations
 name every group element without an automorphism.  The chain of
 components joining the 0-mark to the infinity-mark yields the associated
 flag: step i is the stabilizer of the i-th chain component under
-translations.
+translations.  A scalar must act on each chain component by scaling in a
+coordinate that puts the points toward the 0-mark and the infinity mark
+at zero and infinity; any two such coordinates differ by a scaling, which
+commutes with the action, so no third point is needed.
 
-Derived data:
+Derived data, each a functional class: values up to one common scalar,
+read in such a two-point coordinate and then canonically scaled:
 
 * ``line_data``        the translation values read off the contraction to
                        the infinity component, that is, at the marks'
                        entry points on it (linear, kernel the second to
                        last flag step),
 * ``reciprocal_data``  the values read off the contraction to the zero
-                       component, the same way (reciprocal axioms,
-                       supported on the first flag step),
+                       component, the same way with zero and infinity
+                       swapped (reciprocal axioms, supported on the first
+                       flag step),
 * ``drinfeld_psi``     the additive polynomial with kernel the image of an
                        injective line datum and formal linear coefficient.
 """
@@ -129,10 +134,8 @@ def _scaling_violations(tree: MarkedTree, space: LinSpace, chain,
         if corr.components[cid] != cid:
             out.append(f"scalar xi={xi} does not stabilize chain component {cid!r}")
             continue
-        x_i, y_i = _distinguished(tree, space, chain, i)
-        third = _third_point(tree, cid, x_i, y_i)
-        to_std = Mobius.to_standard(x_i, third, y_i)
-        induced = to_std.compose(corr.maps[cid]).compose(to_std.inverse())
+        coord = Mobius.zero_infinity(*_distinguished(tree, space, chain, i))
+        induced = coord.compose(corr.maps[cid]).compose(coord.inverse())
         if not induced.is_scaling_by(scale):
             out.append(f"xi={xi} does not act by scaling on chain component {cid!r}")
     return out
@@ -235,16 +238,6 @@ def _distinguished(tree, space, chain, i):
     return x_i, y_i
 
 
-def _third_point(tree, cid, x_i, y_i):
-    specials = sorted(
-        set(tree.marks_on(cid).values()) | set(tree.neighbors(cid).values()),
-        key=lambda p: (p.y.coeffs, p.x.coeffs))
-    for p in specials:
-        if p != x_i and p != y_i:
-            return p
-    raise AssertionError("stable component must carry a third special point")
-
-
 def validate_fern(tree: MarkedTree, space: LinSpace) -> Fern:
     """Check the fern axioms and return the fern with its cached flag.
 
@@ -345,13 +338,6 @@ def _glue(sub_fern: Fern, quot_fern: Fern,
 # Line data, reciprocal data, and the additive polynomial
 # ---------------------------------------------------------------------------
 
-def _first_off(entry: dict, space: LinSpace, avoid) -> Vec:
-    for v in space.vectors():
-        if entry[v] not in avoid:
-            return v
-    raise AssertionError("no anchor mark available")
-
-
 def _canonical_scale(space: LinSpace, values: Dict[Vec, FieldElement]):
     """Divide through by the value at the canonical anchor vector.
 
@@ -397,14 +383,13 @@ class RecipData:
         return [v for v, x in self.values.items() if x]
 
 
-def _line_values(entry: dict, space: LinSpace, origin, pole,
-                 marks) -> Dict[Vec, FieldElement]:
+def _line_values(entry: dict, origin, pole, marks) -> Dict[Vec, FieldElement]:
     """Values of the vector ``marks`` (not ``pole``) on one component,
     given every mark's entry point there (:func:`curve.entry_points`), in
-    the coordinate that puts the ``origin`` mark at zero, the pole at
-    infinity and the first other mark of ``space`` at one."""
-    anchor = _first_off(entry, space, {entry[origin], entry[pole]})
-    coord = Mobius.to_standard(entry[origin], entry[anchor], entry[pole])
+    a coordinate that puts the ``origin`` mark at zero and the pole at
+    infinity.  That fixes the values up to one common scalar, which the
+    callers fix by canonical scaling."""
+    coord = Mobius.zero_infinity(entry[origin], entry[pole])
     return {v: coord.apply(entry[v]).affine_value() for v in marks}
 
 
@@ -416,8 +401,7 @@ def line_data(f: Fern) -> LineData:
     second to last step of the associated flag.
     """
     entry = curve.entry_points(f.tree, f.tree.marking[INF][0])
-    values = _line_values(entry, f.space, f.space.zero, INF,
-                          f.space.vectors())
+    values = _line_values(entry, f.space.zero, INF, f.space.vectors())
     return LineData(f.space, _canonical_scale(f.space, values))
 
 
@@ -430,7 +414,7 @@ def reciprocal_data(f: Fern) -> RecipData:
     """
     zero = f.space.zero
     entry = curve.entry_points(f.tree, f.tree.marking[zero][0])
-    values = _line_values(entry, f.space, INF, zero,
+    values = _line_values(entry, INF, zero,
                           [v for v in f.space.vectors() if v != zero])
     return RecipData(f.space, _canonical_scale(f.space, values))
 

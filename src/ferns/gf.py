@@ -367,6 +367,17 @@ class ExtField:
         """The embedded image in F_{q^m} of the i-th element of F_q."""
         return self.scalars[i]
 
+    def combine(self, coeffs: Sequence[int],
+                values: Sequence[FieldElement]) -> FieldElement:
+        """The F_q-linear combination sum scalar(c) * x of ``values`` with
+        the scalar indices ``coeffs``; the counterpart of
+        :meth:`LinSpace.combine` for values in this field."""
+        total = self.zero
+        for c, x in zip(coeffs, values):
+            if c:
+                total = total + self.scalars[c] * x
+        return total
+
 
 @lru_cache(maxsize=None)
 def field_make(p: int, e: int = 1, m: int = 1) -> ExtField:
@@ -662,7 +673,8 @@ class LinSpace:
         self.zero = mod.reduce(vs.zero)
         self._vectors: Optional[tuple] = None
         self._basis: Optional[tuple] = None
-        self._coords: dict = {}  # basis (None: canonical) -> {vector: coords}
+        # basis (None: canonical) -> (its echelon form, {vector: coords})
+        self._coords: dict = {}
         self._subquotients: dict = {}
         self._steps: dict = {}  # d -> subspace_steps(d)
         #: universal.compatibility_checker's checker for this space, once built
@@ -741,48 +753,32 @@ class LinSpace:
 
     def coords(self, v: Vec, basis: Optional[Sequence[Vec]] = None) -> Vec:
         """Coordinates of v in ``basis`` (default the canonical one),
-        memoized per space and basis."""
+        memoized per space and basis; ValueError if v is not a member.
+
+        The rows (b_i | e_i) and (u | 0), u over the modulus, are brought
+        to echelon form once per basis.  Reducing (v | 0) by it leaves
+        (0 | -coordinates) for a member and a nonzero left part otherwise.
+        """
         key = None if basis is None else tuple(basis)
-        memo = self._coords.get(key)
-        if memo is None:
-            memo = self._coords[key] = {}
+        found = self._coords.get(key)
+        if found is None:
+            basis = self.basis() if key is None else key
+            k = len(basis)
+            rows = [tuple(b) + tuple(int(i == j) for j in range(k))
+                    for i, b in enumerate(basis)]
+            rows += [r + (0,) * k for r in self.mod.rows]
+            echelon = Subspace.from_vectors(VSpace(self.field, self.vs.n + k),
+                                            rows)
+            found = self._coords[key] = (echelon, {})
+        echelon, memo = found
         out = memo.get(v)
         if out is None:
-            out = memo[v] = self._solve(
-                self.reduce(v), self.basis() if basis is None else key)
+            n, neg = self.vs.n, self.field.s_neg
+            rest = echelon.reduce(tuple(v) + (0,) * (echelon.space.n - n))
+            if any(rest[:n]):
+                raise ValueError("vector is not a member of the subquotient")
+            out = memo[v] = tuple(neg[c] for c in rest[n:])
         return out
-
-    def _solve(self, v: Vec, basis: tuple) -> Vec:
-        f, n = self.field, self.vs.n
-        rows = [list(b) + [1 if i == j else 0 for j in range(len(basis))]
-                for i, b in enumerate(basis)]
-        rows += [list(r) + [0] * len(basis) for r in self.mod.rows]
-        target = list(v)
-        # eliminate: solve sum c_i basis_i = v modulo U
-        pivots = []
-        for row in rows:
-            lead = next((j for j in range(n) if row[j]), None)
-            if lead is None:
-                continue
-            inv = f.s_inv[row[lead]]
-            row[:] = [f.s_mul[inv][c] for c in row]
-            for other in rows:
-                if other is not row and other[lead]:
-                    c = other[lead]
-                    for j in range(len(row)):
-                        other[j] = f.s_add[other[j]][f.s_neg[f.s_mul[c][row[j]]]]
-            pivots.append((lead, row))
-        coeffs = [0] * len(basis)
-        for lead, row in pivots:
-            c = target[lead]
-            if c:
-                for j in range(len(basis)):
-                    coeffs[j] = f.s_add[coeffs[j]][f.s_mul[c][row[n + j]]]
-                for j in range(n):
-                    target[j] = f.s_add[target[j]][f.s_neg[f.s_mul[c][row[j]]]]
-        if any(target):
-            raise ValueError("vector is not a member of the subquotient")
-        return tuple(coeffs)
 
     def subspace_steps(self, d: int) -> list:
         """Ambient subspaces W with U <= W <= S and dim W/U = d, sorted by

@@ -134,6 +134,11 @@ def space_to_json(space: LinSpace) -> dict:
 
 
 def space_from_json(fld: ExtField, data: dict) -> LinSpace:
+    """The space of a ``space`` object over the scalars of ``fld``; its
+    ``q`` must be the field's (ValueError if not)."""
+    if data["q"] != fld.q:
+        raise ValueError(f"space q {data['q']!r} does not match the field, "
+                         f"whose q is {fld.q}")
     vs = VSpace(fld, data["n"])
     return LinSpace(vs, subspace_from_json(vs, data["subspace"]),
                     subspace_from_json(vs, data["modulo"]))

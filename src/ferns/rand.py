@@ -113,11 +113,7 @@ def injective_linear_marking(space: LinSpace, rng: random.Random,
         values = {}
         clash = False
         for v in space.vectors():
-            coords = space.coords(v)
-            total = fld.zero
-            for c, img in zip(coords, images):
-                if c:
-                    total = total + fld.scalar(c) * img
+            total = fld.combine(space.coords(v), images)
             if total.coeffs in values:
                 clash = True
                 break
@@ -128,7 +124,8 @@ def injective_linear_marking(space: LinSpace, rng: random.Random,
 
 
 def _smooth_tree(space: LinSpace, rng: random.Random) -> Optional[MarkedTree]:
-    """The one-component tree of :func:`smooth_fern`, not yet validated."""
+    """One line marked by an injective linear marking, with infinity at
+    infinity, not yet validated; None when the field has no room."""
     lam = injective_linear_marking(space, rng)
     if lam is None:
         return None
@@ -137,11 +134,6 @@ def _smooth_tree(space: LinSpace, rng: random.Random) -> Optional[MarkedTree]:
     marking[INF] = ProjPoint.infinity(space.field)
     return curve.single_component_tree(space.field, marking,
                                        cid=("P", space.sub.key()))
-
-
-def smooth_fern(space: LinSpace, rng: random.Random) -> Optional[Fern]:
-    tree = _smooth_tree(space, rng)
-    return None if tree is None else validate_fern(tree, space)
 
 
 def random_fern(space: LinSpace, rng: random.Random, remap: bool = True) -> Fern:

@@ -26,7 +26,10 @@ nonzero subspace off a fern, giving a point of the compactified period
 domain whose chart coordinates recover the fiber parameters exactly.  The
 class of W is the line datum of the contraction to W and infinity; it is
 read at the marks' entry points on one component of the path from the
-infinity mark to the 0-mark, with no contraction built.
+infinity mark to the 0-mark, with no contraction built, in a coordinate
+fixed only by where the 0-mark and the infinity mark enter, and then
+canonically scaled.  ``round_trip`` runs both directions over one chart
+point and compares the fibers.
 """
 
 from __future__ import annotations
@@ -178,10 +181,6 @@ class Chart:
         return f"Chart(n={self.n}, q={self.q}, basis={self.basis})"
 
 
-def standard_chart(space: LinSpace) -> Chart:
-    return Chart(space)
-
-
 # ---------------------------------------------------------------------------
 # Chart membership and chart points
 # ---------------------------------------------------------------------------
@@ -214,13 +213,7 @@ def chart_contains(chart: Chart, t: Sequence[FieldElement],
             prods.append(prods[-1] * t[i - 1])
         prods.reverse()
         for combo in itertools.product(range(chart.q), repeat=len(prods)):
-            if not any(combo):
-                continue
-            total = fld.zero
-            for c, val in zip(combo, prods):
-                if c:
-                    total = total + fld.scalar(c) * val
-            if not total:
+            if any(combo) and not fld.combine(combo, prods):
                 return False, None
     return True, chart.flag_from_zero_indices(zeros)
 
@@ -536,13 +529,8 @@ class ClassPoint:
     functionals: dict  # Subspace -> tuple of FieldElements
 
     def value(self, w: Subspace, v: Vec) -> FieldElement:
-        coords = self.space.subquotient(w).coords(v)
-        fld = self.space.field
-        total = fld.zero
-        for c, val in zip(coords, self.functionals[w]):
-            if c:
-                total = total + fld.scalar(c) * val
-        return total
+        return self.space.field.combine(self.space.subquotient(w).coords(v),
+                                        self.functionals[w])
 
 
 def canonical_functional(values: Sequence[FieldElement]) -> tuple:
@@ -575,7 +563,7 @@ def classify(f: Fern) -> ClassPoint:
         for w in space.subspace_steps(d):
             sub = space.subquotient(w)
             basis = sub.basis()
-            values = fern_mod._line_values(_separating_entry(path, sub), sub,
+            values = fern_mod._line_values(_separating_entry(path, sub),
                                            sub.zero, INF, basis)
             functionals[w] = canonical_functional([values[b] for b in basis])
     return ClassPoint(space, functionals)
@@ -606,6 +594,20 @@ def chart_coords(point: ClassPoint, chart: Chart) -> tuple:
     return tuple(out)
 
 
+def round_trip(cp: ChartPoint) -> Tuple[Fern, Optional[str]]:
+    """The fiber over a chart point, and how its round trip fails (None
+    when it holds): classifying the fiber must give back the point's
+    coordinates, and the fiber over those must be isomorphic to it."""
+    fb = fiber(cp)
+    t_back = chart_coords(classify(fb), cp.chart)
+    if t_back != cp.t:
+        return fb, "coordinates drift"
+    if curve.are_isomorphic(
+            fb.tree, fiber(chart_point(cp.chart, t_back)).tree) is None:
+        return fb, "round trip broke isomorphy"
+    return fb, None
+
+
 class CompatibilityChecker:
     """Precomputed nested-pair structure for fast membership tests.
 
@@ -629,22 +631,19 @@ class CompatibilityChecker:
                 self.pairs.append((w_small, w_big, coords))
 
     def _restrict(self, functionals, w_big, coords):
-        fld = self.space.field
-        big_vals = functionals[w_big]
-        out = []
-        for c in coords:
-            total = fld.zero
-            for ci, val in zip(c, big_vals):
-                if ci:
-                    total = total + fld.scalar(ci) * val
-            out.append(total)
-        return out
+        combine, big_vals = self.space.field.combine, functionals[w_big]
+        return [combine(c, big_vals) for c in coords]
 
     def bv_ok(self, functionals: dict) -> bool:
+        """The compatibility condition: for every pair of nested subspaces
+        the larger functional restricts to a (possibly zero) multiple of
+        the smaller one."""
         for w_small, w_big, coords in self.pairs:
             small_vals = functionals[w_small]
-            big_vals = self._restrict(functionals, w_big, coords)
             d = len(small_vals)
+            if d < 2:  # any value is a multiple of a single nonzero one
+                continue
+            big_vals = self._restrict(functionals, w_big, coords)
             for i in range(d):
                 for j in range(i + 1, d):
                     if big_vals[i] * small_vals[j] != big_vals[j] * small_vals[i]:
@@ -652,6 +651,9 @@ class CompatibilityChecker:
         return True
 
     def uf_ok(self, functionals: dict, flag: Flag) -> bool:
+        """Chart membership on top of compatibility: for nested pairs not
+        separated by the flag, the larger functional must not vanish
+        identically on the smaller subspace."""
         if not self.bv_ok(functionals):
             return False
         for w_small, w_big, coords in self.pairs:
@@ -671,20 +673,6 @@ def compatibility_checker(space: LinSpace) -> CompatibilityChecker:
     if space.checker is None:
         space.checker = CompatibilityChecker(space)
     return space.checker
-
-
-def bv_member(point: ClassPoint) -> bool:
-    """The compatibility condition: for every pair of nested subspaces the
-    larger functional restricts to a (possibly zero) multiple of the
-    smaller one."""
-    return compatibility_checker(point.space).bv_ok(point.functionals)
-
-
-def uf_member(point: ClassPoint, flag: Flag) -> bool:
-    """Chart membership on top of compatibility: for nested pairs not
-    separated by the flag, the larger functional must not vanish
-    identically on the smaller subspace."""
-    return compatibility_checker(point.space).uf_ok(point.functionals, flag)
 
 
 def functional_candidates(space: LinSpace, w: Subspace) -> List[tuple]:

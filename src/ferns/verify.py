@@ -20,8 +20,8 @@ from .fern import (contract_fern, drinfeld_psi, fern_violations, line_data,
 from .gf import (INF, LinSpace, Subspace, VSpace, field_make, group_elements)
 from .rand import (injective_linear_marking, random_pipeline_fern,
                    random_stable_tree)
-from .universal import (Chart, PointEquations, chart_coords, chart_point,
-                        chart_points, classify, fiber, section_assignment)
+from .universal import (Chart, PointEquations, chart_point, chart_points,
+                        fiber, round_trip, section_assignment)
 
 
 @dataclass
@@ -87,13 +87,9 @@ def criterion_roundtrip(cases=ROUNDTRIP_CASES) -> str:
         space = _space(n, q, m)
         for chart in _complete_charts(space):
             for cp in chart_points(chart):
-                fb = fiber(cp)  # validates; asserts flag == stratum
-                t_back = chart_coords(classify(fb), chart)
-                if t_back != cp.t:
-                    raise AssertionError(f"coordinates drift at {cp}")
-                fb2 = fiber(chart_point(chart, t_back))
-                if curve.are_isomorphic(fb.tree, fb2.tree) is None:
-                    raise AssertionError(f"round trip broke isomorphy at {cp}")
+                failure = round_trip(cp)[1]
+                if failure is not None:
+                    raise AssertionError(f"{failure} at {cp}")
                 total += 1
     return f"{total} chart points round-trip"
 

@@ -107,8 +107,12 @@ def test_bad_fern_parameters_exit_2(argv, monkeypatch):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("key,value", [("V", {"n": 2, "q": 2}),
-                                       ("flag_basis", [[0, 0, 1]])])
+@pytest.mark.parametrize("key,value", [
+    ("V", {"n": 2, "q": 2}),
+    ("flag_basis", [[0, 0, 1]]),
+    ("space", {"n": 3, "q": 7, "modulo": [],
+               "subspace": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+])
 def test_mismatched_fern_summary_exit_2(key, value, tmp_path):
     data = json.loads((GOLDEN / "inputs" / "gf2_n3.json").read_text())
     data[key] = value

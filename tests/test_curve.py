@@ -4,8 +4,7 @@ import pytest
 
 from ferns.curve import (DegenerateInput, MarkedTree, Mobius, ProjPoint,
                          are_isomorphic, contract, contract_to_component,
-                         cross_ratio, dual_graph, node,
-                         single_component_tree, stabilize)
+                         dual_graph, node, single_component_tree, stabilize)
 from ferns.gf import field_make
 from ferns.rand import random_mobius, random_remap, random_stable_tree
 
@@ -36,6 +35,18 @@ def test_projpoint_normalization():
     assert ProjPoint(K.one, K.zero).is_infinity
     with pytest.raises(DegenerateInput):
         ProjPoint(K.zero, K.zero)
+
+
+def cross_ratio(a, b, c, d):
+    """The scalar fixed by cross_ratio((0:1), (1:1), (1:0), (x:1)) = x.
+
+    Requires a, b, c pairwise distinct and d != c (otherwise the value
+    escapes to infinity).  Invariant under simultaneous Moebius moves.
+    """
+    value = Mobius.to_standard(a, b, c).apply(d)
+    if value.is_infinity:
+        raise DegenerateInput("cross ratio escapes to infinity (d = c)")
+    return value.affine_value()
 
 
 def test_cross_ratio_normalization():
@@ -70,6 +81,11 @@ def test_mobius_between_triples():
     m = between_triples(src, dst)
     assert [m.apply(p) for p in src] == list(dst)
     assert [Mobius.to_standard(*src).apply(p) for p in src] == [ZERO, ONE, INFPT]
+    for p0, pinf in [(pt(4), ONE), (INFPT, pt(2)), (pt(3), INFPT)]:
+        m = Mobius.zero_infinity(p0, pinf)
+        assert (m.apply(p0), m.apply(pinf)) == (ZERO, INFPT)
+    with pytest.raises(DegenerateInput):
+        Mobius.zero_infinity(pt(2), pt(2))
 
 
 # ---------------------------------------------------------------------------

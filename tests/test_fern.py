@@ -93,11 +93,11 @@ def test_validation_perturbation_rejection_random(rng):
     # marks on three-special-point tails of singular ferns, can land on a
     # different valid presentation over a small field, so only the smooth
     # nonzero case is a theorem.)
-    from ferns.rand import smooth_fern
+    from ferns.rand import _smooth_tree
     cases = [(space(2, 2, 3), 50), (space(2, 3, 3), 50)]
     for sp, trials in cases:
         fld = sp.field
-        fern = smooth_fern(sp, rng)
+        fern = validate_fern(_smooth_tree(sp, rng), sp)
         rejected = 0
         for _ in range(trials):
             tree = fern.tree
@@ -545,6 +545,12 @@ def test_scaling_failure_falls_back_to_scan(p, e):
     violations, _, _ = scan_axioms(tree, sp)
     assert violations and all("scaling" in v for v in violations)
     assert not assert_generators_match_scan(tree, sp)
+    # the same tree in other coordinates on its component fails the same way
+    rng = random.Random(p ** e)
+    for _ in range(3):
+        moved = random_remap(tree, rng)
+        assert scan_axioms(moved, sp)[0] == violations
+        assert not assert_generators_match_scan(moved, sp)
 
 
 def test_generator_searches_per_validation(monkeypatch):

@@ -12,6 +12,7 @@ from ferns.gf import (INF, GroupElement, LinSpace, Subspace, VSpace,
                       field_make, flags, gaussian_binomial, group_act,
                       group_elements, group_inv, group_mul, is_irreducible,
                       subspaces)
+from ferns.universal import Chart
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +87,21 @@ def test_embedding_is_a_homomorphism(params):
             assert fld.scalar(fld.s_add[i][j]) == fld.scalar(i) + fld.scalar(j)
             assert fld.scalar(fld.s_mul[i][j]) == fld.scalar(i) * fld.scalar(j)
     assert fld.scalar(0) == fld.zero and fld.scalar(1) == fld.one
+
+
+@pytest.mark.parametrize("params", [(2, 1, 1), (3, 2, 1), (2, 2, 2), (2, 1, 8)])
+def test_combine_matches_naive_sum(params):
+    fld = field_make(*params)
+    rng = random.Random(3)
+    for length in range(6):
+        # about half of the coefficients are zero
+        coeffs = [rng.randrange(fld.q) * rng.randrange(2) for _ in range(length)]
+        values = [fld.from_int(rng.randrange(fld.order)) for _ in range(length)]
+        naive = fld.zero
+        for c, x in zip(coeffs, values):
+            naive = naive + fld.scalar(c) * x
+        assert fld.combine(coeffs, values) == naive
+    assert fld.combine([0, 0], [fld.one, fld.one]) == fld.zero
 
 
 @pytest.mark.parametrize("p,e,m", [(2, 9, 1), (2, 1, 17), (3, 1, 11),
@@ -265,6 +281,15 @@ def test_linspace_coords_roundtrip():
     quot = LinSpace(vs, Subspace.full(vs), w)
     for v in quot.vectors():
         assert quot.combine(quot.coords(v)) == v
+    # a chart basis other than the canonical one: every coordinate tuple
+    # comes back from the vector it combines to
+    chart = Chart(quot, [(0, 1, 1), (1, 1, 2)])
+    for c in itertools.product(range(3), repeat=2):
+        assert chart.to_coords(chart.from_coords(c)) == c
+    plane = LinSpace(vs, Subspace.from_vectors(vs, [(1, 1, 0), (0, 0, 1)]), w)
+    for basis in (None, plane.basis()[::-1]):
+        with pytest.raises(ValueError, match="not a member"):
+            plane.coords((1, 0, 0), basis)
 
 
 def test_linspace_subspace_steps():

@@ -21,6 +21,8 @@ TAMPERED = [
     ("gf2_n3.json", "flag_basis", [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
     ("gf2_mod_plane.json", "flag_basis", [[1, 0, 1]]),
     ("gf2_mod_plane.json", "V", {"n": 1, "q": 2}),
+    ("gf2_n3.json", "space", {"n": 3, "q": 7, "modulo": [],
+                              "subspace": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
 ]
 
 

@@ -12,3 +12,38 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert SOURCES and not found, found
+
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+# public names that nothing in the package calls, each kept for a reason
+UNCALLED_ALLOWED = {
+    "QPoly": "test oracle: Q polynomials checked against q_value",
+    "q_poly": "test oracle: Q polynomials checked against q_value",
+    "DualGraph": "test oracle: dual graphs checked against are_isomorphic",
+    "dual_graph": "test oracle: dual graphs checked against are_isomorphic",
+    "g_translate_index": "test oracle: the coordinate action on full indices",
+}
+
+
+def test_public_names_have_callers():
+    # a public top-level function or class must be named somewhere else in
+    # the package, or be looked up by name from the benchmark's tracer
+    defined, named = set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        defined.update(node.name for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    named.update(node.value for node in ast.walk(ast.parse(SPANS.read_text()))
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    assert set(UNCALLED_ALLOWED) <= defined
+    uncalled = defined - named - set(UNCALLED_ALLOWED)
+    assert not uncalled, sorted(uncalled)

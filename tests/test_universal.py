@@ -14,12 +14,13 @@ from ferns.gf import (INF, GroupElement, LinSpace, Subspace, VSpace,
 from ferns.rand import random_fern, random_pipeline_fern
 from ferns import universal
 from ferns.universal import (Chart, ChartPoint, ClassPoint, PointEquations,
-                             QPoly, bv_member, chart_contains, chart_coords,
+                             QPoly, chart_contains, chart_coords,
                              chart_point, chart_points, check_equations,
-                             classify, component_constraint, fiber,
+                             classify, compatibility_checker,
+                             component_constraint, fiber,
                              functional_candidates, g_translate_index,
                              q_poly, q_value, section_assignment,
-                             sigma_indices, standard_chart, uf_member)
+                             sigma_indices)
 
 from conftest import space
 
@@ -29,7 +30,7 @@ from conftest import space
 # ---------------------------------------------------------------------------
 
 def test_q_poly_basis_cases():
-    ch = standard_chart(space(3, 2))
+    ch = Chart(space(3, 2))
     # the k-th basis vector at level k: the empty product
     assert q_poly(ch, (0, 0, 1), 3).terms == (((0, 0), 1),)
     # the previous basis vector: a single variable
@@ -38,7 +39,7 @@ def test_q_poly_basis_cases():
 
 
 def test_q_poly_linearity():
-    ch = standard_chart(space(2, 3))
+    ch = Chart(space(2, 3))
     fld = ch.field
     for v in ch.space.vectors():
         for w in ch.space.vectors():
@@ -50,7 +51,7 @@ def test_q_poly_linearity():
 
 
 def test_q_poly_lower_dimension_identity():
-    ch = standard_chart(space(3, 3))
+    ch = Chart(space(3, 3))
     shift = QPoly.build(ch.field, 2, {(1, 1): 1})  # T_1 T_2
     for v in [(1, 0, 0), (2, 0, 0)]:
         assert q_poly(ch, v, 3).terms == q_poly(ch, v, 1).mul(shift).terms
@@ -60,13 +61,13 @@ def test_q_poly_lower_dimension_identity():
 
 
 def test_q_poly_rejects_vector_outside_step():
-    ch = standard_chart(space(3, 2))
+    ch = Chart(space(3, 2))
     with pytest.raises(ValueError):
         q_poly(ch, (0, 0, 1), 2)
 
 
 def test_q_value_matches_polynomial_evaluation():
-    ch = standard_chart(space(3, 2, 2))
+    ch = Chart(space(3, 2, 2))
     fld = ch.field
     for packed in itertools.product(range(4), repeat=2):
         t = tuple(fld.from_int(k) for k in packed)
@@ -84,19 +85,19 @@ def test_q_value_matches_polynomial_evaluation():
 # ---------------------------------------------------------------------------
 
 def test_chart_contains_zero_point():
-    ch = standard_chart(space(2, 2))
+    ch = Chart(space(2, 2))
     ok, stratum = chart_contains(ch, (ch.field.zero,))
     assert ok and stratum.is_complete()
 
 
 def test_chart_rejects_rational_combination():
-    ch = standard_chart(space(2, 2))
+    ch = Chart(space(2, 2))
     ok, _ = chart_contains(ch, (ch.field.one,))  # T_1 + 1 vanishes at 1
     assert not ok
 
 
 def test_chart_accepts_generic_extension_point():
-    ch = standard_chart(space(2, 2, 2))
+    ch = Chart(space(2, 2, 2))
     omega = ch.field.element((0, 1))
     ok, stratum = chart_contains(ch, (omega,))
     assert ok and stratum.length == 1  # trivial flag: a smooth point
@@ -104,22 +105,22 @@ def test_chart_accepts_generic_extension_point():
 
 def test_chart_point_counts():
     # frozen from exhaustive enumeration over the value fields
-    assert len(chart_points(standard_chart(space(2, 2)))) == 1
-    assert len(chart_points(standard_chart(space(2, 2, 2)))) == 3
-    assert len(chart_points(standard_chart(space(2, 3)))) == 1
-    assert len(chart_points(standard_chart(space(3, 2)))) == 1
+    assert len(chart_points(Chart(space(2, 2)))) == 1
+    assert len(chart_points(Chart(space(2, 2, 2)))) == 3
+    assert len(chart_points(Chart(space(2, 3)))) == 1
+    assert len(chart_points(Chart(space(3, 2)))) == 1
 
 
 def test_stratum_indices_computed_once():
     sp = space(3, 2)
-    cp = chart_point(standard_chart(sp), (sp.field.zero, sp.field.zero))
+    cp = chart_point(Chart(sp), (sp.field.zero, sp.field.zero))
     assert cp.stratum_indices == (0, 1, 2, 3)
     assert cp.stratum_indices is cp.stratum_indices
 
 
 def test_chart_requires_adapted_basis():
     sp = space(2, 2)
-    ch = standard_chart(sp)
+    ch = Chart(sp)
     other = [f for f in complete_flags(sp.vs)
              if f.steps != ch.flag.steps][0]
     with pytest.raises(ValueError):
@@ -128,7 +129,7 @@ def test_chart_requires_adapted_basis():
 
 def test_subflag_chart_membership():
     # over F_4 the nonzero chart points belong to the trivial-flag chart
-    ch = standard_chart(space(2, 2, 2))
+    ch = Chart(space(2, 2, 2))
     omega = ch.field.element((0, 1))
     from ferns.gf import Flag
     trivial = Flag((ch.flag.steps[0], ch.flag.steps[-1]))
@@ -145,7 +146,7 @@ def test_subflag_chart_membership():
 def test_fiber_dimension_one_is_the_unique_fern():
     for q in (2, 3):
         sp = space(1, q)
-        cp = chart_point(standard_chart(sp), ())
+        cp = chart_point(Chart(sp), ())
         fb = fiber(cp)
         assert fb.is_smooth()
         ld = line_data(fb)
@@ -157,7 +158,7 @@ def test_fiber_dimension_one_is_the_unique_fern():
 
 def test_fiber_n2_q2_degenerate_structure():
     sp = space(2, 2)
-    cp = chart_point(standard_chart(sp), (sp.field.zero,))
+    cp = chart_point(Chart(sp), (sp.field.zero,))
     fb = fiber(cp)
     assert len(fb.tree.components) == 3
     comp_of = {v: fb.tree.marking[v][0] for v in sp.vectors()}
@@ -172,7 +173,7 @@ def test_fiber_n2_q2_degenerate_structure():
 
 def test_fiber_smooth_ratio_matches_coordinate():
     sp = space(2, 2, 2)
-    ch = standard_chart(sp)
+    ch = Chart(sp)
     omega = ch.field.element((0, 1))
     fb = fiber(chart_point(ch, (omega,)))
     assert fb.is_smooth()
@@ -183,7 +184,7 @@ def test_fiber_smooth_ratio_matches_coordinate():
 def test_fiber_matches_graft_shape(rng):
     # the degenerate fiber equals the graft of two dimension-1 pieces
     sp = space(2, 2)
-    fb = fiber(chart_point(standard_chart(sp), (sp.field.zero,)))
+    fb = fiber(chart_point(Chart(sp), (sp.field.zero,)))
     vs = sp.vs
     w = Subspace.from_vectors(vs, [(1, 0)])
     sub = random_fern(LinSpace(vs, w, Subspace.zero(vs)), rng)
@@ -203,7 +204,7 @@ def test_fiber_flag_equals_stratum_everywhere():
 
 
 def test_fiber_rejects_non_chart_point():
-    ch = standard_chart(space(2, 2))
+    ch = Chart(space(2, 2))
     with pytest.raises(ValueError):
         chart_point(ch, (ch.field.one,))
 
@@ -241,7 +242,7 @@ def test_g_translate_composition_law():
 def test_check_equations_infinity_and_zero_sections():
     for n, q, m in [(2, 2, 1), (2, 2, 2), (3, 2, 1), (2, 3, 1)]:
         sp = space(n, q, m)
-        ch = standard_chart(sp)
+        ch = Chart(sp)
         for cp in chart_points(ch):
             assert check_equations(cp, section_assignment(cp, INF))
             zero = ch.to_coords(sp.zero)
@@ -263,7 +264,7 @@ def garbage_assignments(cp, rng, count=60):
 
 def test_check_equations_rejects_random_garbage(rng):
     sp = space(2, 2)
-    cp = chart_point(standard_chart(sp), (sp.field.zero,))
+    cp = chart_point(Chart(sp), (sp.field.zero,))
     rejected = sum(not check_equations(cp, assignment)
                    for assignment in garbage_assignments(cp, rng))
     assert rejected > 30  # random points are overwhelmingly off the fiber
@@ -271,7 +272,7 @@ def test_check_equations_rejects_random_garbage(rng):
 
 def test_section_translates_satisfy_equations_exhaustively():
     sp = space(2, 3)
-    ch = standard_chart(sp)
+    ch = Chart(sp)
     for cp in chart_points(ch):
         for u in list(sp.vectors()) + [INF]:
             u_b = INF if u == INF else ch.to_coords(u)
@@ -386,7 +387,7 @@ def test_point_equations_match_per_call_search(config):
 
 def test_point_equations_match_on_garbage(rng):
     sp = space(2, 2)
-    cp = chart_point(standard_chart(sp), (sp.field.zero,))
+    cp = chart_point(Chart(sp), (sp.field.zero,))
     equations = PointEquations(cp)
     outcomes = set()
     for assignment in garbage_assignments(cp, rng):
@@ -397,7 +398,7 @@ def test_point_equations_match_on_garbage(rng):
 
 def test_fiber_checks_every_mark_against_the_equations(monkeypatch):
     sp = space(2, 3)
-    cp = chart_point(standard_chart(sp), (sp.field.zero,))
+    cp = chart_point(Chart(sp), (sp.field.zero,))
     checked = []
     real = PointEquations.check
 
@@ -419,7 +420,7 @@ def test_fiber_checks_every_mark_against_the_equations(monkeypatch):
 
 def test_classify_smooth_restrictions_of_global_datum(rng):
     sp = space(2, 2, 2)
-    fb = fiber(chart_point(standard_chart(sp),
+    fb = fiber(chart_point(Chart(sp),
                            (sp.field.element((0, 1)),)))
     point = classify(fb)
     ld = line_data(fb)
@@ -454,7 +455,7 @@ def test_classify_roundtrip_exact():
 
 def test_classify_singular_kernels():
     sp = space(2, 2)
-    fb = fiber(chart_point(standard_chart(sp), (sp.field.zero,)))
+    fb = fiber(chart_point(Chart(sp), (sp.field.zero,)))
     point = classify(fb)
     w = fb.flag.steps[1]
     full = sp.sub
@@ -468,9 +469,10 @@ def test_bv_member_accepts_classified_ferns(rng):
         fern, _ = random_pipeline_fern(space(2, 2, 2), rng)
         if fern.space.dim < 1:
             continue
+        checker = compatibility_checker(fern.space)
         point = classify(fern)
-        assert bv_member(point)
-        assert uf_member(point, _completion(fern))
+        assert checker.bv_ok(point.functionals)
+        assert checker.uf_ok(point.functionals, _completion(fern))
 
 
 def _completion(fern):
@@ -489,7 +491,7 @@ def test_all_tuples_compatible_in_dimension_two():
     points = [ClassPoint(sp, dict(zip(subs, combo)))
               for combo in it.product(*candidates)]
     assert len(points) == 3
-    assert all(bv_member(p) for p in points)
+    assert all(compatibility_checker(sp).bv_ok(p.functionals) for p in points)
 
 
 def test_bv_member_rejects_incompatible_tuple():
@@ -512,20 +514,21 @@ def test_bv_member_rejects_incompatible_tuple():
                   for b in sp.subquotient(w_plane).basis()]
     small = point.functionals[w_plane]
     assert restricted[0] * small[1] != restricted[1] * small[0]
-    assert not bv_member(point)
+    assert not compatibility_checker(sp).bv_ok(point.functionals)
 
 
 def test_uf_member_respects_flag_pairs():
     sp = space(2, 2)
-    fb = fiber(chart_point(standard_chart(sp), (sp.field.zero,)))
+    fb = fiber(chart_point(Chart(sp), (sp.field.zero,)))
+    checker = compatibility_checker(sp)
     point = classify(fb)
-    assert bv_member(point)
-    assert uf_member(point, fb.flag)
+    assert checker.bv_ok(point.functionals)
+    assert checker.uf_ok(point.functionals, fb.flag)
     # the degenerate point lies outside the chart of the other lines' flags
     from ferns.gf import Flag
     for flag in complete_flags(sp.vs):
         if flag.steps[1] != fb.flag.steps[1]:
-            assert not uf_member(point, flag)
+            assert not checker.uf_ok(point.functionals, flag)
 
 
 def test_functional_candidates_count():
@@ -672,7 +675,7 @@ def test_classify_builds_no_contraction(monkeypatch):
 
 def test_classify_raises_when_no_path_component_separates():
     sp = space(2, 2)
-    fb = fiber(chart_point(standard_chart(sp), (sp.field.zero,)))
+    fb = fiber(chart_point(Chart(sp), (sp.field.zero,)))
     # the infinity component alone: the marks of each line of the first
     # flag step reach it through one node
     cut = Fern(fb.tree, sp, fb.chain[-1:], fb.flag)
