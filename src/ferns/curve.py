@@ -329,41 +329,6 @@ def single_component_tree(fld: ExtField, marking: Dict[object, ProjPoint],
 
 
 # ---------------------------------------------------------------------------
-# Dual graphs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DualGraph:
-    vertices: frozenset
-    edges: frozenset  # frozensets {cid1, cid2}
-    half_edges: dict  # mark label -> vertex
-
-    def degree(self, cid) -> int:
-        edge_deg = sum(1 for e in self.edges if cid in e)
-        mark_deg = sum(1 for v in self.half_edges.values() if v == cid)
-        return edge_deg + mark_deg
-
-    def n_ext(self, subset: Iterable) -> int:
-        """External edges of the subgraph generated by a component subset:
-        marks on the subset plus edges leaving it."""
-        sub = set(subset)
-        marks = sum(1 for v in self.half_edges.values() if v in sub)
-        boundary = sum(1 for e in self.edges if len(e & sub) == 1)
-        return marks + boundary
-
-    def is_tree(self) -> bool:
-        return len(self.edges) == len(self.vertices) - 1
-
-
-def dual_graph(t: MarkedTree) -> DualGraph:
-    return DualGraph(
-        vertices=t.components,
-        edges=frozenset(frozenset(c for c, _ in nd) for nd in t.nodes),
-        half_edges={lbl: cid for lbl, (cid, _) in t.marking.items()},
-    )
-
-
-# ---------------------------------------------------------------------------
 # Contraction
 # ---------------------------------------------------------------------------
 
@@ -386,8 +351,11 @@ def contract(t: MarkedTree, keep: Iterable) -> ContractionResult:
     Components that drop below three special points are collapsed onto a
     neighbor through their remaining node, transporting every mark (the
     forgotten ones become non-structural ``extra`` points).  Coordinates of
-    surviving components never change, so the output is canonical and
-    independent of the collapse order.
+    surviving components never change, so the components, nodes and
+    marking of the output are canonical and independent of the collapse
+    order.  The ``extra`` points are not: a forgotten mark whose component
+    collapses into a node can end up on either side of that node,
+    depending on the order in which marks are forgotten.
     """
     keep = set(keep)
     if len(keep) < 3:

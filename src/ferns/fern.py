@@ -8,14 +8,15 @@ g.w = xi*w + v, and these automorphisms compose like the group elements.
 Each search runs on the tree's own data (``curve.AnchoredTree``, built
 once per validation) with the marks relabelled by g; no relabelled copy
 of the tree is made.  Validation searches only for the automorphisms of
-the n basis translations and, for q > 2, of one primitive scalar, and
-derives every translation's component permutation by composition.  When
+the n basis translations and, for q > 2, of one primitive scalar.  When
 one of these searches fails, it scans all of G, so that the violations
 name every group element without an automorphism.  The chain of
 components joining the 0-mark to the infinity-mark yields the associated
 flag: step i is the stabilizer of the i-th chain component under
-translations.  A scalar must act on each chain component by scaling in a
-coordinate that puts the points toward the 0-mark and the infinity mark
+translations, spanned by the marks that do not enter that component
+through the point toward infinity, so it is read off the chain's entry
+points.  A scalar must act on each chain component by scaling in a
+coordinate that puts the entry points of the 0-mark and the infinity mark
 at zero and infinity; any two such coordinates differ by a scaling, which
 commutes with the action, so no third point is needed.
 
@@ -59,7 +60,7 @@ class InvalidFern(ValueError):
 class Fern:
     """A validated fern: the tree, its space, the chain of components from
     the 0-mark to the infinity mark, and the associated flag, read off the
-    automorphisms of the generators of G at validation."""
+    entry points of the chain components at validation."""
 
     tree: MarkedTree
     space: LinSpace
@@ -94,8 +95,8 @@ def fern_violations(tree: MarkedTree, space: LinSpace) -> List[str]:
 
 
 def _check_axioms(tree: MarkedTree, space: LinSpace):
-    """The violations, plus the chain and every translation's component
-    permutation when there are none.
+    """The violations, plus the anchored tree and the chain; without
+    violations, the flag is read off the chain's entry maps.
 
     Only the generators of G are searched; when one of them fails, the
     scan over all of G lists the violations."""
@@ -103,10 +104,10 @@ def _check_axioms(tree: MarkedTree, space: LinSpace):
     if violations:
         return violations, None, None
     anchored = curve.AnchoredTree(tree)
-    found = _generator_axioms(anchored, space)
-    if found is None:
-        return _scan_axioms(anchored, space)
-    return [], *found
+    chain = _chain_of(tree, space)
+    if not _generator_axioms(anchored, space, chain):
+        violations = _scan_axioms(anchored, space, chain)
+    return violations, anchored, chain
 
 
 def _shape_violations(tree: MarkedTree, space: LinSpace) -> List[str]:
@@ -124,46 +125,46 @@ def _automorphism(anchored: curve.AnchoredTree,
     return curve.marked_isomorphism(anchored, relabel)
 
 
-def _scaling_violations(tree: MarkedTree, space: LinSpace, chain,
+def _scaling_violations(entry, space: LinSpace, chain,
                         corr: Correspondence, xi: int) -> List[str]:
     """How the automorphism of the scalar xi fails to fix each chain
-    component and act on it by scaling by xi."""
+    component and act on it by scaling by xi, in the coordinate that puts
+    the entry points of the 0-mark and the infinity mark (``entry``, the
+    tree's entry maps) at zero and infinity."""
     out = []
     scale = space.field.scalar(xi)
-    for i, cid in enumerate(chain):
+    for cid in chain:
         if corr.components[cid] != cid:
             out.append(f"scalar xi={xi} does not stabilize chain component {cid!r}")
             continue
-        coord = Mobius.zero_infinity(*_distinguished(tree, space, chain, i))
+        coord = Mobius.zero_infinity(entry[cid][space.zero], entry[cid][INF])
         induced = coord.compose(corr.maps[cid]).compose(coord.inverse())
         if not induced.is_scaling_by(scale):
             out.append(f"xi={xi} does not act by scaling on chain component {cid!r}")
     return out
 
 
-def _scan_axioms(anchored: curve.AnchoredTree, space: LinSpace):
-    """The axioms checked on every element of G: one search per element,
-    then the scaling axiom for every scalar.  The failure path of
-    validation, which words its violations, and the oracle its generator
-    path is tested against; the tree must have passed
+def _scan_axioms(anchored: curve.AnchoredTree, space: LinSpace,
+                 chain) -> List[str]:
+    """The violations of the axioms checked on every element of G: one
+    search per element, then the scaling axiom for every scalar.  The
+    failure path of validation, which words its violations, and the oracle
+    its generator path is tested against; the tree must have passed
     :func:`_shape_violations`."""
-    tree = anchored.tree
     violations: List[str] = []
-    corrs: Dict[Tuple[Vec, int], Correspondence] = {}
+    scalars: Dict[int, Correspondence] = {}
     for g in group_elements(space):
         corr = _automorphism(anchored, g)
         if corr is None:
             violations.append(f"no marked isomorphism for (v={g.v}, xi={g.xi})")
-        else:
-            corrs[(g.v, g.xi)] = corr
+        elif g.v == space.zero:
+            scalars[g.xi] = corr
     if violations:
-        return violations, None, None
-    chain = _chain_of(tree, space)
+        return violations
     for xi in range(2, space.q):
-        violations.extend(_scaling_violations(tree, space, chain,
-                                              corrs[(space.zero, xi)], xi))
-    perms = {v: corrs[(v, 1)].components for v in space.vectors()}
-    return violations, chain, perms
+        violations.extend(_scaling_violations(anchored.entry, space, chain,
+                                              scalars[xi], xi))
+    return violations
 
 
 def _primitive_scalar(fld) -> int:
@@ -177,65 +178,28 @@ def _primitive_scalar(fld) -> int:
     raise AssertionError("F_q^* has no generator")
 
 
-def _generator_axioms(anchored: curve.AnchoredTree, space: LinSpace):
-    """The chain and every translation's component permutation, from the
-    automorphisms of the generators of G alone; None when one of them is
-    missing or the scalar generator breaks the scaling axiom.
+def _generator_axioms(anchored: curve.AnchoredTree, space: LinSpace,
+                      chain) -> bool:
+    """Whether the generators of G have automorphisms and the scalar
+    generator scales each chain component.
 
     The generators are the basis translations (b, 1) and, for q > 2, a
     primitive scalar (0, xi0).  Automorphisms compose (phi_g phi_h =
     phi_gh), so the rest of G has automorphisms too; and every scalar is a
     power xi0^k, so when xi0 scales each chain component by xi0, xi0^k
-    scales it by xi0^k.  The translations by xi0^k b, k < e, span V over
-    F_p; the automorphism of xi0^k b is phi_xi0^k phi_b phi_xi0^-k, so its
-    component permutation is sigma^k pi_b sigma^-k, with sigma that of the
-    scalar generator.
+    scales it by xi0^k.  No translation's component permutation is
+    needed: :func:`validate_fern` reads the flag off the chain's entry
+    points.
     """
-    tree, fld = anchored.tree, space.field
-    basis_perms = []
     for b in space.basis():
-        corr = _automorphism(anchored, GroupElement(space, b, 1))
-        if corr is None:
-            return None
-        basis_perms.append((b, corr.components))
-    chain = _chain_of(tree, space)
-    gens = list(basis_perms)
-    if space.q > 2:
-        xi0 = _primitive_scalar(fld)
-        corr = _automorphism(anchored, GroupElement(space, space.zero, xi0))
-        if corr is None or _scaling_violations(tree, space, chain, corr, xi0):
-            return None
-        sigma = corr.components
-        sigma_inv = {d: c for c, d in sigma.items()}
-        conj, xi = basis_perms, 1
-        for _ in range(1, fld.e):
-            conj = [(b, {c: sigma[pi[sigma_inv[c]]] for c in pi})
-                    for b, pi in conj]
-            xi = fld.s_mul[xi][xi0]
-            gens.extend((space.scale(xi, b), pi) for b, pi in conj)
-    # the translations by the F_p-span of the generators, one generator at
-    # a time: pi_(v + c g) = pi_g^c pi_v
-    perms = {space.zero: {c: c for c in tree.components}}
-    for g, pi in gens:
-        grown = {}
-        for v, pv in perms.items():
-            for _ in range(1, fld.p):
-                v, pv = space.add(v, g), {c: pi[d] for c, d in pv.items()}
-                grown[v] = pv
-        perms.update(grown)
-    return chain, perms
-
-
-def _distinguished(tree, space, chain, i):
-    if i == 0:
-        x_i = tree.marking[space.zero][1]
-    else:
-        x_i = tree.neighbors(chain[i])[chain[i - 1]]
-    if i == len(chain) - 1:
-        y_i = tree.marking[INF][1]
-    else:
-        y_i = tree.neighbors(chain[i])[chain[i + 1]]
-    return x_i, y_i
+        if _automorphism(anchored, GroupElement(space, b, 1)) is None:
+            return False
+    if space.q == 2:
+        return True
+    xi0 = _primitive_scalar(space.field)
+    corr = _automorphism(anchored, GroupElement(space, space.zero, xi0))
+    return corr is not None and not _scaling_violations(
+        anchored.entry, space, chain, corr, xi0)
 
 
 def validate_fern(tree: MarkedTree, space: LinSpace) -> Fern:
@@ -243,21 +207,23 @@ def validate_fern(tree: MarkedTree, space: LinSpace) -> Fern:
 
     Raises :class:`InvalidFern` with the full violation list on failure.
     Step i of the flag is spanned by the translations that fix the i-th
-    chain component.
+    chain component c.  The translation by v carries the chain onto the
+    path from the v-mark to infinity, one component at a time, so it fixes
+    c exactly when the v-mark is not reached from c through the point
+    toward infinity: the flag is read off the chain's entry points.
     """
-    violations, chain, perms = _check_axioms(tree, space)
+    violations, anchored, chain = _check_axioms(tree, space)
     if violations:
         raise InvalidFern(violations)
     steps = [space.mod]
     for cid in chain:
-        stab = [v for v in space.vectors() if perms[v][cid] == cid]
-        step = Subspace.from_vectors(
-            space.vs, list(space.mod.rows) + stab)
-        steps.append(step)
-    flag = Flag(tuple(steps))
+        entry = anchored.entry[cid]
+        fixed = [v for v in space.vectors() if entry[v] != entry[INF]]
+        steps.append(Subspace.from_vectors(
+            space.vs, list(space.mod.rows) + fixed))
     if steps[-1] != space.sub:  # pragma: no cover - theory guarantee
         raise InvalidFern(["chain stabilizers do not exhaust the space"])
-    return Fern(tree, space, chain, flag)
+    return Fern(tree, space, chain, Flag(tuple(steps)))
 
 
 # ---------------------------------------------------------------------------

@@ -381,7 +381,14 @@ class ExtField:
 
 @lru_cache(maxsize=None)
 def field_make(p: int, e: int = 1, m: int = 1) -> ExtField:
-    """Construct (and cache) the field F_{(p^e)^m} with its canonical modulus."""
+    """Construct (and cache) the field F_{(p^e)^m} with its canonical modulus.
+
+    The cache must stay unbounded.  Elements are interned per field object,
+    and fields are compared by identity (``FieldElement._check``,
+    ``VSpace.__eq__``, ``MarkedTree.__eq__`` and ``curve.are_isomorphic``),
+    so a bounded cache that evicted a field and built it again would leave
+    old and new elements of the same GF(p^k) unable to mix.
+    """
     return ExtField(p, e, m)
 
 

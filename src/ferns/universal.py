@@ -51,79 +51,6 @@ SigmaIndex = Tuple[Vec, int]  # (vector, chain level)
 
 
 # ---------------------------------------------------------------------------
-# Polynomials Q^k_v in the chart coordinates T_1 .. T_{n-1}
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QPoly:
-    """A polynomial in T_1..T_{n-1} with scalar coefficients (index form)."""
-
-    field: object  # the value field, for scalar tables and evaluation
-    nvars: int
-    terms: tuple  # sorted tuple of (exponent tuple, scalar index)
-
-    @classmethod
-    def build(cls, field, nvars: int, term_map: Dict[tuple, int]) -> "QPoly":
-        terms = tuple(sorted((e, c) for e, c in term_map.items() if c))
-        return cls(field, nvars, terms)
-
-    def add(self, other: "QPoly") -> "QPoly":
-        acc = dict(self.terms)
-        s_add = self.field.s_add
-        for e, c in other.terms:
-            acc[e] = s_add[acc.get(e, 0)][c]
-        return QPoly.build(self.field, self.nvars, acc)
-
-    def scale(self, c: int) -> "QPoly":
-        s_mul = self.field.s_mul
-        return QPoly.build(self.field, self.nvars,
-                           {e: s_mul[c][x] for e, x in self.terms})
-
-    def mul(self, other: "QPoly") -> "QPoly":
-        acc: Dict[tuple, int] = {}
-        s_add, s_mul = self.field.s_add, self.field.s_mul
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = s_add[acc.get(e, 0)][s_mul[c1][c2]]
-        return QPoly.build(self.field, self.nvars, acc)
-
-    def evaluate(self, t: Sequence[FieldElement]) -> FieldElement:
-        fld = self.field
-        total = fld.zero
-        for exps, c in self.terms:
-            term = fld.scalar(c)
-            for e, value in zip(exps, t):
-                for _ in range(e):
-                    term = term * value
-            total = total + term
-        return total
-
-    def __repr__(self):
-        return f"QPoly({self.terms})"
-
-
-def _suffix_monomial(nvars: int, lo: int, hi: int) -> tuple:
-    """Exponents of prod T_j for j in [lo, hi), 1-based variable indexing."""
-    return tuple(1 if lo <= j + 1 < hi else 0 for j in range(nvars))
-
-
-def q_poly(chart: "Chart", v: Vec, k: int) -> QPoly:
-    """Q^k_v as a polynomial: sum over i <= k of c_i * T_i .. T_{k-1}."""
-    c = chart.to_coords(v)
-    n = chart.n
-    if any(c[i] for i in range(k, n)):
-        raise ValueError("vector lies outside the k-th flag step")
-    terms: Dict[tuple, int] = {}
-    s_add = chart.field.s_add
-    for i in range(1, k + 1):
-        if c[i - 1]:
-            e = _suffix_monomial(n - 1, i, k)
-            terms[e] = s_add[terms.get(e, 0)][c[i - 1]]
-    return QPoly.build(chart.field, n - 1, terms)
-
-
-# ---------------------------------------------------------------------------
 # Charts
 # ---------------------------------------------------------------------------
 
@@ -344,14 +271,6 @@ def section_assignment(cp: ChartPoint, u, g: Optional[GroupElement] = None
         else:
             out[(v, k)] = section_value(cp, cs.sub(tv, u), tw)
     return out
-
-
-def g_translate_index(space: LinSpace, idx, g: GroupElement):
-    """The coordinate action on full indices: (v, w) -> (xi^-1(v-u), xi^-1 w)."""
-    v, w = idx
-    xi_inv = space.field.s_inv[g.xi]
-    return (space.scale(xi_inv, space.sub_vec(v, g.v)),
-            space.scale(xi_inv, w))
 
 
 def check_equations(cp: ChartPoint,

@@ -1,10 +1,11 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from ferns.curve import (DegenerateInput, MarkedTree, Mobius, ProjPoint,
                          are_isomorphic, contract, contract_to_component,
-                         dual_graph, node, single_component_tree, stabilize)
+                         node, single_component_tree, stabilize)
 from ferns.gf import field_make
 from ferns.rand import random_mobius, random_remap, random_stable_tree
 
@@ -119,6 +120,41 @@ def test_validate_rejects_mark_on_node():
     assert any("node" in v for v in t.validate().violations)
 
 
+# ---------------------------------------------------------------------------
+# dual graphs, the combinatorial oracle for stability and trees
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DualGraph:
+    vertices: frozenset
+    edges: frozenset  # frozensets {cid1, cid2}
+    half_edges: dict  # mark label -> vertex
+
+    def degree(self, cid):
+        edge_deg = sum(1 for e in self.edges if cid in e)
+        mark_deg = sum(1 for v in self.half_edges.values() if v == cid)
+        return edge_deg + mark_deg
+
+    def n_ext(self, subset):
+        """External edges of the subgraph generated by a component subset:
+        marks on the subset plus edges leaving it."""
+        sub = set(subset)
+        marks = sum(1 for v in self.half_edges.values() if v in sub)
+        boundary = sum(1 for e in self.edges if len(e & sub) == 1)
+        return marks + boundary
+
+    def is_tree(self):
+        return len(self.edges) == len(self.vertices) - 1
+
+
+def dual_graph(t):
+    return DualGraph(
+        vertices=t.components,
+        edges=frozenset(frozenset(c for c, _ in nd) for nd in t.nodes),
+        half_edges={lbl: cid for lbl, (cid, _) in t.marking.items()},
+    )
+
+
 def test_dual_graph_smooth():
     t = single_component_tree(K, {i: pt(i) for i in range(4)})
     g = dual_graph(t)
@@ -180,13 +216,18 @@ def test_contract_requires_three_marks():
 
 
 def test_contract_order_independence(rng):
+    # components, nodes and marks do not depend on the collapse order; with
+    # three marks kept the forgotten ones (``extra``) do not either, but
+    # once several components survive one can land on either side of a node
     fld = field_make(2, 1, 2)
-    for _ in range(30):
+    several = 0
+    for _ in range(60):
         labels = list(range(1, rng.randint(5, 9)))
         t = random_stable_tree(fld, labels, rng)
-        keep = rng.sample(labels, 3)
+        keep = rng.sample(labels, rng.randint(3, len(labels) - 1))
         forget = [l for l in labels if l not in keep]
         direct = contract(t, keep).tree
+        several += len(direct.components) > 1
         for _ in range(2):
             order = forget[:]
             rng.shuffle(order)
@@ -194,7 +235,12 @@ def test_contract_order_independence(rng):
             for lbl in order:
                 remaining.discard(lbl)
                 stepwise = contract(stepwise, remaining).tree
-            assert stepwise == direct
+            assert stepwise.components == direct.components
+            assert stepwise.nodes == direct.nodes
+            assert stepwise.marking == direct.marking
+            if len(keep) == 3:
+                assert stepwise == direct
+    assert several >= 15
 
 
 def test_contract_idempotent(rng):

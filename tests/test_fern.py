@@ -8,8 +8,8 @@ from ferns.curve import ProjPoint, single_component_tree
 from ferns.fern import (InvalidFern, LineData, contract_fern, drinfeld_psi,
                         expand_root_product, fern_violations, graft,
                         line_data, reciprocal_data, validate_fern)
-from ferns.gf import (INF, LinSpace, Subspace, VSpace, field_make,
-                      group_act, group_elements)
+from ferns.gf import (INF, GroupElement, LinSpace, Subspace, VSpace,
+                      field_make, group_act, group_elements)
 from ferns.rand import (injective_linear_marking, random_fern,
                         random_pipeline_fern, random_remap)
 
@@ -439,15 +439,24 @@ def test_root_product_additivity_random(rng):
 # ---------------------------------------------------------------------------
 
 def scan_axioms(tree, sp):
-    """The violations, chain and translation permutations of the scan over
-    all of G, the oracle for validation from generators."""
+    """The violations of the scan over all of G, the chain, and every
+    translation's component permutation, each from its own search: the
+    oracle for validation from generators and for its flag."""
     violations = fern_mod._shape_violations(tree, sp)
     if violations:
         return violations, None, None
-    return fern_mod._scan_axioms(curve.AnchoredTree(tree), sp)
+    anchored = curve.AnchoredTree(tree)
+    chain = tuple(tree.path(tree.marking[sp.zero][0], tree.marking[INF][0]))
+    violations = fern_mod._scan_axioms(anchored, sp, chain)
+    if violations:
+        return violations, chain, None
+    perms = {v: fern_mod._automorphism(anchored, GroupElement(sp, v, 1))
+             .components for v in sp.vectors()}
+    return violations, chain, perms
 
 
 def stabilizer_flag(sp, chain, perms):
+    """Step i: the translations that fix the i-th chain component."""
     return [Subspace.from_vectors(sp.vs, list(sp.mod.rows) + [
         v for v in sp.vectors() if perms[v][cid] == cid]) for cid in chain]
 
@@ -474,20 +483,20 @@ def perturbed_trees(f, rng):
 
 
 def assert_generators_match_scan(tree, sp):
-    """Same acceptance, translation permutations, flag and violations."""
+    """Same acceptance, violations, chain and flag."""
     assert not fern_mod._shape_violations(tree, sp)
     violations, chain, perms = scan_axioms(tree, sp)
-    found = fern_mod._generator_axioms(curve.AnchoredTree(tree), sp)
-    assert (found is None) == bool(violations)
+    accepted = fern_mod._generator_axioms(curve.AnchoredTree(tree), sp, chain)
+    assert accepted != bool(violations)
     assert fern_violations(tree, sp) == violations
-    if found is None:
+    if not accepted:
         with pytest.raises(InvalidFern) as info:
             validate_fern(tree, sp)
         assert info.value.violations == violations
         return False
-    assert found == (chain, perms)
-    assert list(validate_fern(tree, sp).flag.steps[1:]) == \
-        stabilizer_flag(sp, chain, perms)
+    f = validate_fern(tree, sp)
+    assert f.chain == chain
+    assert list(f.flag.steps[1:]) == stabilizer_flag(sp, chain, perms)
     return True
 
 
@@ -501,8 +510,9 @@ def frobenius_tree(sp):
     return single_component_tree(fld, marking)
 
 
-# (n, p, e, m) -> ferns per configuration; q = 4 and q = 8 need the
-# conjugated translations xi0^k e_j, the rest only the basis translations
+# (n, p, e, m) -> ferns per configuration; q = 4 and q = 8 are the fields
+# where V is not spanned over F_p by the basis, so the flag's translations
+# are reached only through the scalar generator
 ORACLE_QUICK = [((2, 2, 1, 1), 4), ((3, 2, 1, 1), 2), ((2, 2, 1, 2), 4),
                 ((2, 3, 1, 1), 3), ((1, 5, 1, 1), 4), ((1, 2, 2, 2), 4),
                 ((2, 2, 2, 1), 4), ((1, 2, 3, 1), 4)]

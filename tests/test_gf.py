@@ -46,6 +46,16 @@ def test_canonical_modulus_is_smallest():
         assert not is_irreducible(cand, 2)
 
 
+def test_field_make_returns_the_same_field_object():
+    # fields compare by identity, so a cached field must never be rebuilt,
+    # whatever else has been built since
+    fld = field_make(3, 1, 2)
+    for params in [(2, 1, 1), (2, 2, 3), (5, 1, 2), (2, 1, 10), (3, 2, 1)]:
+        field_make(*params)
+    assert field_make(3, 1, 2) is fld
+    assert (fld.one + field_make(3, 1, 2).one).field is fld
+
+
 def test_field_make_rejects_composite_p():
     with pytest.raises(ValueError):
         field_make(6, 1, 1)

@@ -17,13 +17,7 @@ def test_package_has_no_assert_statements():
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 # public names that nothing in the package calls, each kept for a reason
-UNCALLED_ALLOWED = {
-    "QPoly": "test oracle: Q polynomials checked against q_value",
-    "q_poly": "test oracle: Q polynomials checked against q_value",
-    "DualGraph": "test oracle: dual graphs checked against are_isomorphic",
-    "dual_graph": "test oracle: dual graphs checked against are_isomorphic",
-    "g_translate_index": "test oracle: the coordinate action on full indices",
-}
+UNCALLED_ALLOWED = {}
 
 
 def test_public_names_have_callers():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -9,25 +10,90 @@ from ferns import curve
 from ferns import fern as fern_mod
 from ferns.curve import ProjPoint
 from ferns.fern import Fern, contract_fern, line_data, reciprocal_data
-from ferns.gf import (INF, GroupElement, LinSpace, Subspace, VSpace,
-                      complete_flags, field_make, group_elements, group_mul)
+from ferns.gf import (INF, LinSpace, Subspace, VSpace, complete_flags,
+                      field_make, group_elements)
 from ferns.rand import random_fern, random_pipeline_fern
 from ferns import universal
 from ferns.universal import (Chart, ChartPoint, ClassPoint, PointEquations,
-                             QPoly, chart_contains, chart_coords,
-                             chart_point, chart_points, check_equations,
-                             classify, compatibility_checker,
-                             component_constraint, fiber,
-                             functional_candidates, g_translate_index,
-                             q_poly, q_value, section_assignment,
-                             sigma_indices)
+                             chart_contains, chart_coords, chart_point,
+                             chart_points, check_equations, classify,
+                             compatibility_checker, component_constraint,
+                             fiber, functional_candidates, q_value,
+                             section_assignment, sigma_indices)
 
 from conftest import space
 
 
 # ---------------------------------------------------------------------------
-# Q polynomials
+# Q polynomials: Q^k_v as explicit polynomials in the chart coordinates
+# T_1 .. T_{n-1}, the oracle for q_value
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class QPoly:
+    """A polynomial in T_1..T_{n-1} with scalar coefficients (index form)."""
+
+    field: object  # the value field, for scalar tables and evaluation
+    nvars: int
+    terms: tuple  # sorted tuple of (exponent tuple, scalar index)
+
+    @classmethod
+    def build(cls, field, nvars, term_map):
+        terms = tuple(sorted((e, c) for e, c in term_map.items() if c))
+        return cls(field, nvars, terms)
+
+    def add(self, other):
+        acc = dict(self.terms)
+        s_add = self.field.s_add
+        for e, c in other.terms:
+            acc[e] = s_add[acc.get(e, 0)][c]
+        return QPoly.build(self.field, self.nvars, acc)
+
+    def scale(self, c):
+        s_mul = self.field.s_mul
+        return QPoly.build(self.field, self.nvars,
+                           {e: s_mul[c][x] for e, x in self.terms})
+
+    def mul(self, other):
+        acc = {}
+        s_add, s_mul = self.field.s_add, self.field.s_mul
+        for e1, c1 in self.terms:
+            for e2, c2 in other.terms:
+                e = tuple(a + b for a, b in zip(e1, e2))
+                acc[e] = s_add[acc.get(e, 0)][s_mul[c1][c2]]
+        return QPoly.build(self.field, self.nvars, acc)
+
+    def evaluate(self, t):
+        fld = self.field
+        total = fld.zero
+        for exps, c in self.terms:
+            term = fld.scalar(c)
+            for e, value in zip(exps, t):
+                for _ in range(e):
+                    term = term * value
+            total = total + term
+        return total
+
+
+def _suffix_monomial(nvars, lo, hi):
+    """Exponents of prod T_j for j in [lo, hi), 1-based variable indexing."""
+    return tuple(1 if lo <= j + 1 < hi else 0 for j in range(nvars))
+
+
+def q_poly(chart, v, k):
+    """Q^k_v as a polynomial: sum over i <= k of c_i * T_i .. T_{k-1}."""
+    c = chart.to_coords(v)
+    n = chart.n
+    if any(c[i] for i in range(k, n)):
+        raise ValueError("vector lies outside the k-th flag step")
+    terms = {}
+    s_add = chart.field.s_add
+    for i in range(1, k + 1):
+        if c[i - 1]:
+            e = _suffix_monomial(n - 1, i, k)
+            terms[e] = s_add[terms.get(e, 0)][c[i - 1]]
+    return QPoly.build(chart.field, n - 1, terms)
+
 
 def test_q_poly_basis_cases():
     ch = Chart(space(3, 2))
@@ -210,34 +276,8 @@ def test_fiber_rejects_non_chart_point():
 
 
 # ---------------------------------------------------------------------------
-# index translation and the defining equations
+# the defining equations
 # ---------------------------------------------------------------------------
-
-def test_g_translate_identity():
-    sp = space(2, 3)
-    ident = GroupElement.identity(sp)
-    for idx in [((1, 2), (0, 1)), ((0, 0), (2, 1))]:
-        assert g_translate_index(sp, idx, ident) == idx
-
-
-def test_g_translate_pure_translation():
-    sp = space(2, 2)
-    g = GroupElement(sp, (1, 0), 1)
-    assert g_translate_index(sp, ((1, 1), (0, 1)), g) == ((0, 1), (0, 1))
-
-
-def test_g_translate_composition_law():
-    sp = space(1, 3)
-    G = group_elements(sp)
-    idxs = [((c,), (w,)) for c in range(3) for w in range(1, 3)]
-    for a in G:
-        for b in G:
-            ab = group_mul(a, b)
-            for idx in idxs:
-                # a right action on indices: (idx . a) . b = idx . (a b)
-                assert g_translate_index(sp, g_translate_index(sp, idx, a), b) \
-                    == g_translate_index(sp, idx, ab)
-
 
 def test_check_equations_infinity_and_zero_sections():
     for n, q, m in [(2, 2, 1), (2, 2, 2), (3, 2, 1), (2, 3, 1)]:
