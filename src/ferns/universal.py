@@ -14,13 +14,16 @@ its component, node, and section data:
   action of the group and locating the unique component whose equations
   the translated point satisfies.
 
-The defining equations and the constraints each component puts on the
+Every Q^k is F_q-linear in the vector, with the suffix products of t as
+coefficients, tabulated once per point in ``ChartPoint.suffix``.  The
+defining equations and the constraints each component puts on the
 coordinates depend only on the chart point, so :class:`PointEquations`
 builds them once per point; nodes, mark locations and the equivariance
-check read them from there.  Every mark of a fiber is still checked
-against the full defining equations, and must satisfy exactly one
-component's constraints.  ``check_equations`` and ``locate_component``
-answer the same questions for a single call.
+check read them from there.  By linearity the equations of a level ask
+for one projective value per residue class (see :class:`PointEquations`).
+Every mark of a fiber is checked against all of them, and must satisfy
+exactly one component's constraints.  ``check_equations`` and
+``locate_component`` answer the same questions for a single call.
 ``classify`` goes the other way: it reads one functional class per
 nonzero subspace off a fern, giving a point of the compactified period
 domain whose chart coordinates recover the fiber parameters exactly.  The
@@ -112,6 +115,15 @@ class Chart:
 # Chart membership and chart points
 # ---------------------------------------------------------------------------
 
+def _suffix_products(fld, t: Sequence[FieldElement]) -> tuple:
+    """Row k, for k = 0 .. n, lists the products t_i .. t_{k-1} for
+    i = 1 .. k; the last entry of each row is the empty product, one."""
+    rows = [(), (fld.one,)]
+    for x in t:  # row k + 1 is row k times t_k, then one
+        rows.append((*[y * x for y in rows[-1]], fld.one))
+    return tuple(rows)
+
+
 def chart_contains(chart: Chart, t: Sequence[FieldElement],
                    flag: Optional[Flag] = None):
     """Membership of t in the chart of ``flag`` (default: the complete flag).
@@ -132,13 +144,10 @@ def chart_contains(chart: Chart, t: Sequence[FieldElement],
     if not zeros <= interior:
         return False, None
     iseq = [0] + sorted(zeros) + [n]
+    suffix = _suffix_products(fld, t)
     for k in range(1, len(iseq)):
         lo, hi = iseq[k - 1] + 1, iseq[k]
-        # suffix products prod_{i=j}^{hi-1} t_i for j = lo .. hi (last = 1)
-        prods = [fld.one]
-        for i in range(hi - 1, lo - 1, -1):
-            prods.append(prods[-1] * t[i - 1])
-        prods.reverse()
+        prods = suffix[hi][lo - 1:]  # t_j .. t_{hi-1} for j = lo .. hi
         for combo in itertools.product(range(chart.q), repeat=len(prods)):
             if any(combo) and not fld.combine(combo, prods):
                 return False, None
@@ -157,6 +166,12 @@ class ChartPoint:
     def stratum_indices(self) -> tuple:
         """(i_0 = 0, i_1, ..., i_m = n): positions of the stratum steps."""
         return tuple(self.chart.flag.steps.index(s) for s in self.stratum.steps)
+
+    @cached_property
+    def suffix(self) -> tuple:
+        """The suffix products of t (:func:`_suffix_products`): row k holds
+        the coefficients of the F_q-linear form Q^k."""
+        return _suffix_products(self.chart.field, self.t)
 
     def __repr__(self):
         return f"ChartPoint(t={[list(x.coeffs) for x in self.t]})"
@@ -204,17 +219,9 @@ def sigma_indices(cp: ChartPoint) -> List[Tuple[BVec, int]]:
 
 def q_value(cp: ChartPoint, c: BVec, k: int) -> FieldElement:
     """Q^k evaluated at the chart point, for a vector in the k-th step."""
-    fld, t = cp.chart.field, cp.t
     if any(c[k:]):
         raise ValueError("vector lies outside the k-th flag step")
-    total = fld.zero
-    prod = fld.one  # running product t_i .. t_{k-1}
-    for i in range(k, 0, -1):
-        if c[i - 1]:
-            total = total + fld.scalar(c[i - 1]) * prod
-        if i > 1:
-            prod = prod * t[i - 2]
-    return total
+    return cp.chart.field.combine(c, cp.suffix[k])
 
 
 def component_constraint(cp: ChartPoint, free: Tuple[BVec, int],
@@ -244,32 +251,30 @@ def locate_component(cp: ChartPoint, point: Dict[Tuple[BVec, int], ProjPoint]):
     return PointEquations(cp).locate(point)
 
 
-def section_value(cp: ChartPoint, v: BVec, w: BVec) -> ProjPoint:
-    """The (v, w)-coordinate of the zero section: (-Q^l_v : Q^l_w) with l
-    minimal such that both vectors lie in the l-th complete-flag step."""
-    l = max(_lev(v), _lev(w), 1)
-    return ProjPoint(-q_value(cp, v, l), q_value(cp, w, l))
-
-
 def section_assignment(cp: ChartPoint, u, g: Optional[GroupElement] = None
                        ) -> Dict[Tuple[BVec, int], ProjPoint]:
     """The reduced coordinates of the u-marked section (u in chart
     coordinates, or the infinity label), optionally composed with the
-    coordinate action of a group element on the full index set."""
+    coordinate action of a group element on the full index set.
+
+    The (v, w)-coordinate of the zero section is (-Q^l_v : Q^l_w), with l
+    minimal such that both vectors lie in the l-th complete-flag step."""
     fld = cp.chart.field
     cs = cp.chart.coord_space
+    if u == INF:
+        return {idx: ProjPoint.infinity(fld) for idx in sigma_indices(cp)}
+    if g is not None:
+        xi_inv = fld.s_inv[g.xi]
+        gv = cp.chart.to_coords(g.v)
     out = {}
     for (v, k) in sigma_indices(cp):
         tv, tw = v, cs.basis_vector(cp.stratum_indices[k])
         if g is not None:
-            xi_inv = fld.s_inv[g.xi]
-            gv = cp.chart.to_coords(g.v)
             tv = cs.scale(xi_inv, cs.sub(tv, gv))
             tw = cs.scale(xi_inv, tw)
-        if u == INF:
-            out[(v, k)] = ProjPoint.infinity(fld)
-        else:
-            out[(v, k)] = section_value(cp, cs.sub(tv, u), tw)
+        tv = cs.sub(tv, u)
+        l = max(_lev(tv), _lev(tw), 1)
+        out[(v, k)] = ProjPoint(-q_value(cp, tv, l), q_value(cp, tw, l))
     return out
 
 
@@ -286,11 +291,15 @@ class PointEquations:
     Both depend only on the chart point, so each is built once, on first
     use, and serves every section, node and translate over it.
 
-    ``equations`` lists, for all levels l and reduced indices (v,k),
-    (v',k') with k, k' <= l and v - v' inside the l-th stratum step, the
-    two indices and the coefficients (qa, qb, qc) of
-    qa X_{vk} Y_{v'k'} + qb Y_{vk} Y_{v'k'} = qc X_{v'k'} Y_{vk}, where
-    qa = Q^{i_l}_{b_{i_k}}, qb = Q^{i_l}_{v-v'} and qc = Q^{i_l}_{b_{i_k'}}.
+    The defining equations ask, at each stratum level l, for reduced
+    indices (v,k), (v',k') with k, k' <= l and v - v' in the l-th stratum
+    step, that qa X_{vk} Y_{v'k'} + qb Y_{vk} Y_{v'k'} = qc X_{v'k'} Y_{vk},
+    with qa = Q^{i_l}_{b_{i_k}}, qb = Q^{i_l}_{v-v'}, qc = Q^{i_l}_{b_{i_k'}}.
+    Q^{i_l} is linear, so qb = Q^{i_l}_v - Q^{i_l}_{v'} on the truncations,
+    and the equation says Phi_l(v,k) = (qa X_{vk} + Q^{i_l}_v Y_{vk} : Y_{vk})
+    equals Phi_l(v',k') unless one of them is (0 : 0).  So they hold when
+    each residue class v[i_l:] takes one Phi value at each level; ``levels``
+    lists per level the rows (index, v[i_l:], qa, Q^{i_l}_v) for k <= l.
     ``pinned[free]`` maps every other index to the point that the
     component with that free index pins there (see
     :func:`component_constraint`).
@@ -301,33 +310,16 @@ class PointEquations:
         self.indices = sigma_indices(cp)
 
     @cached_property
-    def equations(self) -> list:
-        cp, idxs = self.cp, self.indices
-        cs = cp.chart.coord_space
+    def levels(self) -> list:
+        cp = self.cp
+        combine = cp.chart.field.combine
         iseq = cp.stratum_indices
-        q_memo = {}
-
-        def q(c, level):
-            out = q_memo.get((c, level))
-            if out is None:
-                out = q_memo[(c, level)] = q_value(cp, c, level)
-            return out
-
         out = []
         for l in range(1, len(iseq)):
             il = iseq[l]
-            for (v, k) in idxs:
-                if k > l:
-                    continue
-                qa = q(cs.basis_vector(iseq[k]), il)
-                for (v2, k2) in idxs:
-                    if k2 > l:
-                        continue
-                    diff = cs.sub(v, v2)
-                    if _lev(diff) > il:
-                        continue
-                    out.append(((v, k), (v2, k2), qa, q(diff, il),
-                                q(cs.basis_vector(iseq[k2]), il)))
+            q_row = cp.suffix[il]
+            out.append([((v, k), v[il:], q_row[iseq[k] - 1], combine(v, q_row))
+                        for (v, k) in self.indices if k <= l])
         return out
 
     @cached_property
@@ -339,15 +331,17 @@ class PointEquations:
 
     def check(self, assignment: Dict[Tuple[BVec, int], ProjPoint]) -> bool:
         """Whether the assignment satisfies every defining equation."""
-        for i, j, qa, qb, qc in self.equations:
-            p1, p2 = assignment[i], assignment[j]
-            # points are normalized to (x : 1) or (1 : 0), which leaves
-            # qa x1 + qb = qc x2, 0 = qc, qa = 0 or nothing to check
-            if p1.y:
-                if (qa * p1.x + qb != qc * p2.x) if p2.y else qc:
-                    return False
-            elif p2.y and qa:
-                return False
+        for rows in self.levels:
+            phi = {}
+            for idx, key, qa, qv in rows:
+                # points are normalized to (x : 1) or (1 : 0), so Phi is
+                # (qa x + qv : 1), or (qa : 0): (1 : 0), kept as None, or
+                # (0 : 0) when qa = 0, which satisfies every equation
+                p = assignment[idx]
+                if p.y or qa:
+                    value = qa * p.x + qv if p.y else None
+                    if phi.setdefault(key, value) != value:
+                        return False
         return True
 
     def node(self, upper: Tuple[BVec, int],

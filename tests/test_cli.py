@@ -7,7 +7,8 @@ contracted to a plane, a smooth fern on F_2^3 modulo that plane, and two
 broken trees.  The rejection cases load a broken tree, exit 1 and pin
 standard error in ``tests/golden/<name>.err``: a smooth F_3^2 fern over
 GF(27) with one mark moved, and a graft-built F_3^2 fern over GF(3) with
-two marks swapped.  After a change that is meant to alter the output,
+two marks swapped.  One census case runs as ``python -m ferns`` in a
+subprocess.  After a change that is meant to alter the output,
 regenerate the goldens with ``PYTHONPATH=src python tests/test_cli.py``
 and review the diff.
 """
@@ -16,6 +17,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -66,6 +69,14 @@ def test_golden_output(name, monkeypatch):
     code, out, err = run_cli(CASES[name].split())
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_python_m_ferns_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN.parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-m", "ferns", "census", "--q", "3",
+                          "--n", "2"], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (GOLDEN / "census_q3_n2.out").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(REJECTIONS))

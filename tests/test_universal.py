@@ -14,7 +14,7 @@ from ferns.gf import (INF, LinSpace, Subspace, VSpace, complete_flags,
                       field_make, group_elements)
 from ferns.rand import random_fern, random_pipeline_fern
 from ferns import universal
-from ferns.universal import (Chart, ChartPoint, ClassPoint, PointEquations,
+from ferns.universal import (Chart, ClassPoint, PointEquations,
                              chart_contains, chart_coords, chart_point,
                              chart_points, check_equations, classify,
                              compatibility_checker, component_constraint,
@@ -132,18 +132,20 @@ def test_q_poly_rejects_vector_outside_step():
         q_poly(ch, (0, 0, 1), 2)
 
 
-def test_q_value_matches_polynomial_evaluation():
-    ch = Chart(space(3, 2, 2))
-    fld = ch.field
-    for packed in itertools.product(range(4), repeat=2):
-        t = tuple(fld.from_int(k) for k in packed)
-        ok, stratum = chart_contains(ch, t)
-        if not ok:
-            continue
-        cp = ChartPoint(ch, t, stratum)
-        for v in ch.space.vectors():
-            k = max((i + 1 for i, c in enumerate(v) if c), default=1)
-            assert q_value(cp, v, ch.n) == q_poly(ch, v, ch.n).evaluate(t)
+@pytest.mark.parametrize("n,q,m", [(3, 2, 2), (4, 2, 1)])
+def test_q_value_matches_polynomial_evaluation(n, q, m):
+    # every level from lev(v) up, so every row of the suffix table is read;
+    # the points include t with zero entries, whose rows hold zero products
+    sp = space(n, q, m)
+    charts = [Chart(sp), Chart.for_flag(sp, complete_flags(sp.vs)[-1])]
+    points = [cp for ch in charts for cp in chart_points(ch)]
+    assert any(not x for cp in points for x in cp.t)
+    for cp in points:
+        ch = cp.chart
+        for v in sp.vectors():
+            c = ch.to_coords(v)
+            for k in range(universal._lev(c), ch.n + 1):
+                assert q_value(cp, c, k) == q_poly(ch, v, k).evaluate(cp.t)
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +427,40 @@ def test_point_equations_match_per_call_search(config):
     assert sections > 0
 
 
-def test_point_equations_match_on_garbage(rng):
-    sp = space(2, 2)
-    cp = chart_point(Chart(sp), (sp.field.zero,))
-    equations = PointEquations(cp)
+def perturbed_sections(cp, rng, count=40):
+    """Marked sections and translates with one or two coordinates replaced
+    by infinity or a random affine point."""
+    chart = cp.chart
+    fld = chart.field
+    group = group_elements(chart.space)
+    us = [INF] + [chart.to_coords(u) for u in chart.space.vectors()]
+    for _ in range(count):
+        assignment = section_assignment(cp, rng.choice(us),
+                                        g=rng.choice([None] + group))
+        replaced = min(len(assignment), rng.choice([1, 2]))
+        for idx in rng.sample(sorted(assignment), replaced):
+            assignment[idx] = rng.choice([
+                ProjPoint.infinity(fld),
+                ProjPoint.affine(fld.from_int(rng.randrange(fld.order)))])
+        yield assignment
+
+
+@pytest.mark.parametrize("n,q,m", [(3, 2, 1), (2, 3, 1), (2, 2, 2),
+                                   (4, 2, 1)])
+def test_point_equations_match_on_garbage(n, q, m, rng):
+    sp = space(n, q, m)
+    charts = [Chart(sp), Chart.for_flag(sp, complete_flags(sp.vs)[-1])]
+    points = [cp for ch in charts for cp in chart_points(ch)]
+    # a zero t_{i_k} makes Q^{i_l}(b_{i_k}) vanish for every l > k, so
+    # points at infinity there take the value (0 : 0)
+    assert any(not x for cp in points for x in cp.t)
     outcomes = set()
-    for assignment in garbage_assignments(cp, rng):
-        assert_point_equations_match(cp, equations, assignment)
-        outcomes.add(equations.check(assignment))
+    for cp in points:
+        equations = PointEquations(cp)
+        for assignment in itertools.chain(garbage_assignments(cp, rng),
+                                          perturbed_sections(cp, rng)):
+            assert_point_equations_match(cp, equations, assignment)
+            outcomes.add(equations.check(assignment))
     assert outcomes == {True, False}
 
 

@@ -38,9 +38,12 @@ def test_census_cases_are_the_papers_counts():
      "distinct chart points give non-isomorphic fibers"),
     (verify.criterion_equivariance,
      "1701 section translates satisfy the equations"),
+    (lambda: verify.criterion_drinfeld(20, 0),
+     "20 additive polynomials verified"),
 ], ids=["census", "field_axioms", "subspace_counts", "group_laws",
         "fern_uniqueness_dim1", "knudsen", "census_sweep", "roundtrip",
-        "contraction_compat", "fiber_injectivity", "equivariance"])
+        "contraction_compat", "fiber_injectivity", "equivariance",
+        "drinfeld"])
 def test_quick_check_passes(check, detail):
     assert check() == detail
 
