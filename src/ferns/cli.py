@@ -27,7 +27,7 @@ from typing import List, Optional
 from . import census as census_mod
 from . import jsonio, verify
 from .fern import InvalidFern, contract_fern, drinfeld_psi, graft, line_data
-from .gf import LinSpace, Subspace, VSpace, field_make
+from .gf import Flag, LinSpace, Subspace, VSpace, complete_flags, field_make
 from .universal import (Chart, chart_coords, chart_point, chart_points,
                         classify, fiber, round_trip)
 
@@ -175,7 +175,6 @@ def cmd_classify(args) -> int:
 
 def _complete(fern):
     """A complete flag refining the fern's associated flag, deterministically."""
-    from .gf import Flag
     space = fern.space
     steps = list(fern.flag.steps)
     refined = [steps[0]]
@@ -193,13 +192,13 @@ def _complete(fern):
 def cmd_roundtrip(args) -> int:
     fld = _field(args)
     space = LinSpace.full(VSpace(fld, args.n))
-    from .gf import complete_flags
+    flags = sorted(complete_flags(space.vs), key=lambda f: f.key())
+    atlas = [Chart.for_flag(space, flag) for flag in flags]
     lines = []
     failures = 0
-    for flag in sorted(complete_flags(space.vs), key=lambda f: f.key()):
-        chart = Chart.for_flag(space, flag)
+    for flag, chart in zip(flags, atlas):
         for cp in chart_points(chart):
-            fb, failure = round_trip(cp)
+            fb, failure = round_trip(cp, atlas)
             failures += 0 if failure is None else 1
             lines.append({
                 "flag": flag.key(),

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from . import curve
 from .curve import MarkedTree, Mobius, ProjPoint
-from .fern import Fern, _glue, validate_fern
+from .fern import Fern, _glue, contract_fern, validate_fern
 from .gf import INF, ExtField, LinSpace, Subspace
 
 
@@ -188,7 +188,6 @@ def random_pipeline_fern(space: LinSpace, rng: random.Random
         if not steps:
             break
         w = rng.choice(steps)
-        from .fern import contract_fern
         f = contract_fern(f, w)
         log.append(f"contract:{w.key()}")
     return f, log

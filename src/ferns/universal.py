@@ -3,27 +3,23 @@
 A chart is a complete flag together with an adapted ordered basis; its
 points are coordinate tuples t in K^(n-1) subject to the membership
 conditions below, and each point carries a stratum flag read off the zero
-pattern of t.  The fiber over a chart point is synthesized directly from
-its component, node, and section data:
+pattern of t.  Every Q^k is F_q-linear in the vector, with the suffix
+products of t as coefficients, tabulated once per point in
+``ChartPoint.suffix``.
 
-* one projective line per reduced index (v, k) with v truncation-zero up
-  to the k-th stratum step,
-* nodes between consecutive levels, computed by intersecting the two
-  components' defining equations and insisting on a unique solution,
-* marked sections by translating the zero section through the coordinate
-  action of the group and locating the unique component whose equations
-  the translated point satisfies.
+The fiber over a chart point is written down in closed form from that
+table (see :func:`fiber`): one projective line per reduced index (v, k)
+with v zero up to the k-th stratum step, nodes between consecutive levels
+of one residue class, and marks at Q values.  These positions are the
+solutions of the universal family's equations, which stay here as the
+oracle: ``component_constraint`` gives what each component pins,
+``section_assignment`` the coordinates of a marked section or a translate
+of it, ``locate_component`` the unique component whose constraints a
+point satisfies, and ``check_equations`` (through :class:`PointEquations`)
+the defining equations, which by linearity ask for one projective value
+per level and residue class.  ``verify`` and the tests compare the closed
+form with these solutions.
 
-Every Q^k is F_q-linear in the vector, with the suffix products of t as
-coefficients, tabulated once per point in ``ChartPoint.suffix``.  The
-defining equations and the constraints each component puts on the
-coordinates depend only on the chart point, so :class:`PointEquations`
-builds them once per point; nodes, mark locations and the equivariance
-check read them from there.  By linearity the equations of a level ask
-for one projective value per residue class (see :class:`PointEquations`).
-Every mark of a fiber is checked against all of them, and must satisfy
-exactly one component's constraints.  ``check_equations`` and
-``locate_component`` answer the same questions for a single call.
 ``classify`` goes the other way: it reads one functional class per
 nonzero subspace off a fern, giving a point of the compactified period
 domain whose chart coordinates recover the fiber parameters exactly.  The
@@ -32,7 +28,7 @@ read at the marks' entry points on one component of the path from the
 infinity mark to the 0-mark, with no contraction built, in a coordinate
 fixed only by where the 0-mark and the infinity mark enter, and then
 canonically scaled.  ``round_trip`` runs both directions over one chart
-point and compares the fibers.
+point and checks that the fiber glues across the charts of an atlas.
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ from .gf import (INF, FieldElement, Flag, GroupElement, LinSpace, Subspace,
 
 Vec = tuple
 BVec = tuple  # coordinates with respect to a chart basis
-SigmaIndex = Tuple[Vec, int]  # (vector, chain level)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +241,16 @@ def component_constraint(cp: ChartPoint, free: Tuple[BVec, int],
 
 
 def locate_component(cp: ChartPoint, point: Dict[Tuple[BVec, int], ProjPoint]):
-    """The unique component whose equations the point satisfies, plus the
+    """The unique component whose constraints the point satisfies, plus the
     position in that component's own coordinate."""
-    return PointEquations(cp).locate(point)
+    idxs = sigma_indices(cp)
+    hits = [free for free in idxs
+            if all(point[idx] == pinned for idx in idxs
+                   if (pinned := component_constraint(cp, free, idx))
+                   is not None)]
+    if len(hits) != 1:
+        raise ValueError(f"point satisfied {len(hits)} component systems")
+    return hits[0], point[hits[0]]
 
 
 def section_assignment(cp: ChartPoint, u, g: Optional[GroupElement] = None
@@ -286,10 +288,8 @@ def check_equations(cp: ChartPoint,
 
 
 class PointEquations:
-    """The defining equations and component constraints of one chart point.
-
-    Both depend only on the chart point, so each is built once, on first
-    use, and serves every section, node and translate over it.
+    """The defining equations of one chart point, built once and shared by
+    every section and translate over it.
 
     The defining equations ask, at each stratum level l, for reduced
     indices (v,k), (v',k') with k, k' <= l and v - v' in the l-th stratum
@@ -300,34 +300,19 @@ class PointEquations:
     equals Phi_l(v',k') unless one of them is (0 : 0).  So they hold when
     each residue class v[i_l:] takes one Phi value at each level; ``levels``
     lists per level the rows (index, v[i_l:], qa, Q^{i_l}_v) for k <= l.
-    ``pinned[free]`` maps every other index to the point that the
-    component with that free index pins there (see
-    :func:`component_constraint`).
     """
 
     def __init__(self, cp: ChartPoint):
-        self.cp = cp
-        self.indices = sigma_indices(cp)
-
-    @cached_property
-    def levels(self) -> list:
-        cp = self.cp
         combine = cp.chart.field.combine
         iseq = cp.stratum_indices
-        out = []
+        idxs = sigma_indices(cp)
+        self.levels = []
         for l in range(1, len(iseq)):
             il = iseq[l]
             q_row = cp.suffix[il]
-            out.append([((v, k), v[il:], q_row[iseq[k] - 1], combine(v, q_row))
-                        for (v, k) in self.indices if k <= l])
-        return out
-
-    @cached_property
-    def pinned(self) -> dict:
-        return {free: {idx: c for idx in self.indices
-                       if (c := component_constraint(self.cp, free, idx))
-                       is not None}
-                for free in self.indices}
+            self.levels.append([
+                ((v, k), v[il:], q_row[iseq[k] - 1], combine(v, q_row))
+                for (v, k) in idxs if k <= l])
 
     def check(self, assignment: Dict[Tuple[BVec, int], ProjPoint]) -> bool:
         """Whether the assignment satisfies every defining equation."""
@@ -344,81 +329,65 @@ class PointEquations:
                         return False
         return True
 
-    def node(self, upper: Tuple[BVec, int],
-             lower: Tuple[BVec, int]) -> Dict[Tuple[BVec, int], ProjPoint]:
-        """The full coordinate tuple of the node between two adjacent
-        components.
-
-        Intersects the two components' constraint systems; each pins the
-        other's free coordinate and they must agree everywhere else.
-        """
-        up, low = self.pinned[upper], self.pinned[lower]
-        point = {}
-        for idx in self.indices:
-            a, b = up.get(idx), low.get(idx)
-            if a is not None and b is not None and a != b:
-                raise AssertionError("adjacent component equations disagree")
-            value = a if a is not None else b
-            if value is None:
-                raise AssertionError("node equations leave a coordinate free")
-            point[idx] = value
-        return point
-
-    def locate(self, point: Dict[Tuple[BVec, int], ProjPoint]):
-        """See :func:`locate_component`."""
-        hits = [free for free, pins in self.pinned.items()
-                if all(point[idx] == expected for idx, expected in pins.items())]
-        if len(hits) != 1:
-            raise ValueError(f"point satisfied {len(hits)} component systems")
-        return hits[0], point[hits[0]]
-
 
 # ---------------------------------------------------------------------------
 # Fiber synthesis
 # ---------------------------------------------------------------------------
 
-def fiber(cp: ChartPoint) -> Fern:
-    """Synthesize the fern over a chart point.
+def component_id(chart: Chart, idx: Tuple[BVec, int]) -> tuple:
+    """The id of the fiber component with reduced index (v, k)."""
+    v, k = idx
+    return ("E", chart.from_coords(v), k)
 
-    Components are indexed by the reduced indices; nodes join consecutive
-    levels within the same residue class, at positions solved from the
-    component equations; marks are found by translate-then-locate.  The
-    result is validated and its associated flag equals the stratum.
+
+def fiber(cp: ChartPoint) -> Fern:
+    """The fern over a chart point, in closed form.
+
+    With i_k the stratum positions and Q^j(u) the combination of u's first
+    j coordinates with ``cp.suffix[j]``:
+
+    * one component per reduced index (v, k);
+    * for k >= 2 and every u nonzero only in coordinates i_{k-1}+1 .. i_k,
+      the (v, k)-component meets the (v + u, k - 1)-component at
+      (Q^{i_k}(u) : 1) on the first and at infinity on the second;
+    * the u-mark sits on ((0^{i_1}, u[i_1:]), 1) at (Q^{i_1}(u) : 1), and
+      the infinity mark on (0, m) at infinity.
+
+    These solve the defining equations.  The (v + u, k - 1)-component pins
+    the (v, k) coordinate to (Q^{i_k}((v + u)[:i_k]) : 1), and
+    (v + u)[:i_k] = u (:func:`component_constraint`).  A section's (v, k)
+    coordinate is (-Q^l(v - u) : Q^l(b_{i_k})), and for l > i_k the factor
+    t_{i_k} = 0 of Q^l(b_{i_k}) makes it (Q^{i_k}(u) : 1) on u's class and
+    infinity off it (:func:`section_assignment`).  The result is validated
+    and its associated flag equals the stratum.
     """
     chart = cp.chart
-    fld = chart.field
+    fld, n = chart.field, chart.n
     iseq = cp.stratum_indices
-    m = len(iseq) - 1
-    eqs = PointEquations(cp)
-    idxs = eqs.indices
-
-    def cid(idx):
-        v, k = idx
-        return ("E", chart.from_coords(v), k)
+    ids = {idx: component_id(chart, idx) for idx in sigma_indices(cp)}
+    infinity = ProjPoint.infinity(fld)
 
     nodes = []
-    for (v, k) in idxs:
+    for (v, k), cid in ids.items():
         if k == 1:
             continue
         lo, hi = iseq[k - 1], iseq[k]
+        row = cp.suffix[hi][lo:]
         for window in itertools.product(range(chart.q), repeat=hi - lo):
-            u = (0,) * lo + window + (0,) * (chart.n - hi)
-            v2 = chart.coord_space.add(v, u)
-            point = eqs.node((v, k), (v2, k - 1))
-            nodes.append(curve.node(cid((v, k)), point[(v, k)],
-                                    cid((v2, k - 1)), point[(v2, k - 1)]))
+            u = (0,) * lo + window + (0,) * (n - hi)
+            lower = ids[(chart.coord_space.add(v, u), k - 1)]
+            at = ProjPoint.affine(fld.combine(window, row))
+            nodes.append(curve.node(cid, at, lower, infinity))
 
+    i1 = iseq[1]
     marking = {}
     for u_vec in chart.space.vectors():
-        u_b = chart.to_coords(u_vec)
-        point = section_assignment(cp, u_b)
-        home, pos = eqs.locate(point)
-        if not eqs.check(point):
-            raise AssertionError("section fails the defining equations")
-        marking[u_vec] = (cid(home), pos)
-    marking[INF] = (cid(((0,) * chart.n, m)), ProjPoint.infinity(fld))
+        u = chart.to_coords(u_vec)
+        marking[u_vec] = (ids[((0,) * i1 + u[i1:], 1)],
+                          ProjPoint.affine(fld.combine(u, cp.suffix[i1])))
+    marking[INF] = (ids[((0,) * n, len(iseq) - 1)], infinity)
 
-    tree = curve.MarkedTree(fld, [cid(i) for i in idxs], nodes, marking)
+    tree = curve.MarkedTree(fld, ids.values(), nodes, marking)
     result = validate_fern(tree, chart.space)
     if result.flag.steps != cp.stratum.steps:
         raise AssertionError("fiber flag does not match the stratum")
@@ -507,17 +476,33 @@ def chart_coords(point: ClassPoint, chart: Chart) -> tuple:
     return tuple(out)
 
 
-def round_trip(cp: ChartPoint) -> Tuple[Fern, Optional[str]]:
+def round_trip(cp: ChartPoint, atlas: Sequence[Chart]
+               ) -> Tuple[Fern, Optional[str]]:
     """The fiber over a chart point, and how its round trip fails (None
-    when it holds): classifying the fiber must give back the point's
-    coordinates, and the fiber over those must be isomorphic to it."""
+    when it holds).
+
+    Classifying the fiber must give back the point's coordinates.  A fern
+    is the pullback of the universal family along its classifying map in
+    every chart that contains its class, so in every other chart of
+    ``atlas`` that contains the class, the fiber must be isomorphic to
+    this one and classify to the same point.
+    """
     fb = fiber(cp)
-    t_back = chart_coords(classify(fb), cp.chart)
-    if t_back != cp.t:
+    point = classify(fb)
+    if chart_coords(point, cp.chart) != cp.t:
         return fb, "coordinates drift"
-    if curve.are_isomorphic(
-            fb.tree, fiber(chart_point(cp.chart, t_back)).tree) is None:
-        return fb, "round trip broke isomorphy"
+    for chart in atlas:
+        if chart is cp.chart:
+            continue
+        try:
+            there = chart_point(chart, chart_coords(point, chart))
+        except ValueError:  # the class lies outside this chart
+            continue
+        other = fiber(there)
+        if curve.are_isomorphic(fb.tree, other.tree) is None:
+            return fb, "fibers differ across charts"
+        if classify(other) != point:
+            return fb, "classes differ across charts"
     return fb, None
 
 

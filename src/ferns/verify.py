@@ -8,6 +8,7 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -15,13 +16,16 @@ from typing import Callable, List
 
 from . import census as census_mod
 from . import curve
-from .fern import (contract_fern, drinfeld_psi, fern_violations, line_data,
-                   reciprocal_data)
-from .gf import (INF, LinSpace, Subspace, VSpace, field_make, group_elements)
-from .rand import (injective_linear_marking, random_pipeline_fern,
-                   random_stable_tree)
+from .fern import (LineData, contract_fern, drinfeld_psi, expand_root_product,
+                   fern_violations, line_data, reciprocal_data)
+from .gf import (INF, GroupElement, LinSpace, Subspace, VSpace, complete_flags,
+                 field_make, flags, gaussian_binomial, group_act,
+                 group_elements, group_inv, group_mul, subspaces)
+from .rand import (injective_linear_marking, random_fern, random_pipeline_fern,
+                   random_stable_tree, stabilize_at_random)
 from .universal import (Chart, PointEquations, chart_point, chart_points,
-                        fiber, round_trip, section_assignment)
+                        component_id, fiber, locate_component, round_trip,
+                        section_assignment)
 
 
 @dataclass
@@ -76,18 +80,19 @@ def criterion_census() -> str:
 
 
 def _complete_charts(space: LinSpace) -> List[Chart]:
-    from .gf import complete_flags
     return [Chart.for_flag(space, fl) for fl in complete_flags(space.vs)]
 
 
 def criterion_roundtrip(cases=ROUNDTRIP_CASES) -> str:
-    """Fibers validate, match their stratum, and classify back exactly."""
+    """Fibers validate, match their stratum, classify back exactly, and
+    glue across every chart of the complete-flag atlas that holds them."""
     total = 0
     for n, q, m in cases:
         space = _space(n, q, m)
-        for chart in _complete_charts(space):
+        atlas = _complete_charts(space)
+        for chart in atlas:
             for cp in chart_points(chart):
-                failure = round_trip(cp)[1]
+                failure = round_trip(cp, atlas)[1]
                 if failure is not None:
                     raise AssertionError(f"{failure} at {cp}")
                 total += 1
@@ -148,7 +153,6 @@ def criterion_graft_axioms(ferns: list, seed: int = 0) -> str:
 
 def criterion_knudsen(count: int = 200, seed: int = 0) -> str:
     """Stabilize-then-contract identity and contraction order independence."""
-    from .rand import stabilize_at_random
     rng = random.Random(seed + 2)
     fld = field_make(2, 1, 2)
     for i in range(count):
@@ -183,7 +187,6 @@ DRINFELD_CONFIGS = [(1, 2, 1), (1, 2, 2), (2, 2, 2), (2, 2, 3), (3, 2, 3),
 def criterion_drinfeld(count: int = 50, seed: int = 0) -> str:
     """Additive-polynomial shape and kernel for random injective markings."""
     rng = random.Random(seed + 3)
-    from .fern import LineData, expand_root_product
     for i in range(count):
         n, q, m = DRINFELD_CONFIGS[i % len(DRINFELD_CONFIGS)]
         space = _space(n, q, m)
@@ -243,12 +246,19 @@ def criterion_reciprocal(ferns: list) -> str:
 
 def criterion_equivariance() -> str:
     """Every marked section and each of its group translates satisfies the
-    defining equations, exhaustively for dimension 3 over F_2."""
+    defining equations, and every vector mark of the closed-form fiber sits
+    where its section locates it, exhaustively for dimension 3 over F_2."""
     space = _space(3, 2, 1)
     total = 0
     for chart in _complete_charts(space):
         for cp in chart_points(chart):
             equations = PointEquations(cp)
+            marking = fiber(cp).tree.marking
+            for u in space.vectors():
+                home, pos = locate_component(
+                    cp, section_assignment(cp, chart.to_coords(u)))
+                if marking[u] != (component_id(chart, home), pos):
+                    raise AssertionError(f"mark {u} is off its section at {cp}")
             for u in list(space.vectors()) + [INF]:
                 u_b = INF if u == INF else chart.to_coords(u)
                 for g in [None] + group_elements(space):
@@ -287,7 +297,6 @@ def invariant_field_axioms(seed: int = 0) -> str:
 
 
 def invariant_subspace_counts() -> str:
-    from .gf import gaussian_binomial, subspaces, flags
     for q, n in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
         p, e = census_mod._prime_power(q)
         vs = VSpace(field_make(p, e, 1), n)
@@ -302,12 +311,10 @@ def invariant_subspace_counts() -> str:
 
 def _all_chains(vs) -> list:
     # independent chain oracle: exhaustive spans, then chain DFS
-    from .gf import Subspace
     seen = {}
     vecs = vs.vectors()
-    import itertools as it
     for r in range(vs.n + 1):
-        for combo in it.combinations(vecs, r):
+        for combo in itertools.combinations(vecs, r):
             w = Subspace.from_vectors(vs, combo)
             seen[w.rows] = w
     lattice = list(seen.values())
@@ -328,7 +335,6 @@ def _all_chains(vs) -> list:
 
 
 def invariant_group_laws() -> str:
-    from .gf import GroupElement, group_act, group_mul, group_inv
     for q, n in [(2, 2), (3, 1), (3, 2)]:
         p, e = census_mod._prime_power(q)
         space = LinSpace.full(VSpace(field_make(p, e, 1), n))
@@ -346,7 +352,6 @@ def invariant_group_laws() -> str:
 
 
 def invariant_fern_uniqueness_dim1(seed: int = 0) -> str:
-    from .rand import random_fern
     rng = random.Random(seed + 5)
     for q, m in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         p, e = census_mod._prime_power(q)

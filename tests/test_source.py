@@ -41,3 +41,15 @@ def test_public_names_have_callers():
     assert set(UNCALLED_ALLOWED) <= defined
     uncalled = defined - named - set(UNCALLED_ALLOWED)
     assert not uncalled, sorted(uncalled)
+
+
+def test_package_imports_only_at_module_level():
+    # every module of the package already imports from the modules it
+    # needs at the top, so a function-local import hides no cycle
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for func in ast.walk(ast.parse(path.read_text()))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func)
+             if isinstance(node, ast.ImportFrom) and node.level]
+    assert SOURCES and not found, found

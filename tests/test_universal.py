@@ -18,8 +18,9 @@ from ferns.universal import (Chart, ClassPoint, PointEquations,
                              chart_contains, chart_coords, chart_point,
                              chart_points, check_equations, classify,
                              compatibility_checker, component_constraint,
-                             fiber, functional_candidates, q_value,
-                             section_assignment, sigma_indices)
+                             fiber, functional_candidates, locate_component,
+                             q_value, round_trip, section_assignment,
+                             sigma_indices)
 
 from conftest import space
 
@@ -323,7 +324,7 @@ def test_section_translates_satisfy_equations_exhaustively():
 
 
 # ---------------------------------------------------------------------------
-# the per-chart-point equations and constraint table against per-call search
+# the per-chart-point equations against the pairwise equations
 # ---------------------------------------------------------------------------
 
 def reference_check_equations(cp, assignment):
@@ -351,46 +352,14 @@ def reference_check_equations(cp, assignment):
     return True
 
 
-def reference_locate(cp, point):
-    """Every component tested against every index, per call."""
-    hits = []
-    for free in sigma_indices(cp):
-        if all(point[idx] == expected
-               for idx in sigma_indices(cp)
-               if (expected := component_constraint(cp, free, idx)) is not None):
-            hits.append(free)
-    if len(hits) != 1:
-        return len(hits)
-    return hits[0], point[hits[0]]
-
-
-def reference_node(cp, upper, lower):
-    point = {}
-    for idx in sigma_indices(cp):
-        a = component_constraint(cp, upper, idx)
-        b = component_constraint(cp, lower, idx)
-        assert a is None or b is None or a == b
-        point[idx] = a if a is not None else b
-    return point
-
-
-def located(equations, point):
-    try:
-        return equations.locate(point)
-    except ValueError as exc:
-        return int(str(exc).split()[2])  # "point satisfied N component ..."
-
-
 def assert_point_equations_match(cp, equations, assignment, memo=None):
-    """The shared list and table agree with the per-call references; the
-    references' verdicts on a repeated assignment come from ``memo``."""
+    """The per-class check agrees with the pairwise reference; the
+    reference's verdict on a repeated assignment comes from ``memo``."""
     key = tuple(assignment.items())
     memo = {} if memo is None else memo
     if key not in memo:
-        memo[key] = (reference_check_equations(cp, assignment),
-                     reference_locate(cp, assignment))
-    assert (equations.check(assignment),
-            located(equations, assignment)) == memo[key]
+        memo[key] = reference_check_equations(cp, assignment)
+    assert equations.check(assignment) == memo[key]
 
 
 @pytest.mark.parametrize("config", [(3, 2, 1), (2, 2, 2), (2, 3, 1)])
@@ -402,20 +371,6 @@ def test_point_equations_match_per_call_search(config):
         for cp in chart_points(chart):
             equations = PointEquations(cp)
             memo = {}
-            idxs = sigma_indices(cp)
-            assert equations.indices == idxs
-            for free in idxs:
-                for idx in idxs:
-                    assert equations.pinned[free].get(idx) == \
-                        component_constraint(cp, free, idx)
-            for (v, k) in idxs:
-                for (v2, k2) in idxs:
-                    if k2 == k - 1:
-                        try:
-                            reference = reference_node(cp, (v, k), (v2, k2))
-                        except AssertionError:
-                            continue
-                        assert equations.node((v, k), (v2, k2)) == reference
             for u in list(sp.vectors()) + [INF]:
                 u_b = INF if u == INF else chart.to_coords(u)
                 for g in [None] + group_elements(sp):
@@ -464,24 +419,164 @@ def test_point_equations_match_on_garbage(n, q, m, rng):
     assert outcomes == {True, False}
 
 
-def test_fiber_checks_every_mark_against_the_equations(monkeypatch):
-    sp = space(2, 3)
-    cp = chart_point(Chart(sp), (sp.field.zero,))
-    checked = []
-    real = PointEquations.check
+# ---------------------------------------------------------------------------
+# the closed-form fiber against the fiber solved from the equations
+# ---------------------------------------------------------------------------
 
-    def counted(self, assignment):
-        checked.append(assignment)
-        return real(self, assignment)
+def reference_node(cp, upper, lower):
+    """The full coordinates of the node between two components: the
+    intersection of their constraint systems, which must agree wherever
+    both pin a coordinate and leave none free."""
+    point = {}
+    for idx in sigma_indices(cp):
+        a = component_constraint(cp, upper, idx)
+        b = component_constraint(cp, lower, idx)
+        assert a is None or b is None or a == b
+        assert a is not None or b is not None
+        point[idx] = a if a is not None else b
+    return point
 
-    monkeypatch.setattr(PointEquations, "check", counted)
-    fiber(cp)
-    assert len(checked) == len(sp.vectors())
-    monkeypatch.setattr(PointEquations, "check", lambda self, a: False)
-    with pytest.raises(AssertionError, match="defining equations"):
-        fiber(cp)
+
+def reference_fiber(cp):
+    """The fiber solved from the equations: a node between (v, k) and every
+    (v', k - 1) of v's residue class at level k, where the two constraint
+    systems meet, and each vector mark on the one component its section
+    satisfies, after the section passes the defining equations."""
+    chart = cp.chart
+    iseq = cp.stratum_indices
+    idxs = sigma_indices(cp)
+
+    def cid(idx):
+        v, k = idx
+        return ("E", chart.from_coords(v), k)
+
+    nodes = []
+    for upper in idxs:
+        for lower in idxs:
+            (v, k), (v2, k2) = upper, lower
+            if k2 == k - 1 and v[iseq[k]:] == v2[iseq[k]:]:
+                point = reference_node(cp, upper, lower)
+                nodes.append(curve.node(cid(upper), point[upper],
+                                        cid(lower), point[lower]))
+    marking = {}
+    for u in chart.space.vectors():
+        section = section_assignment(cp, chart.to_coords(u))
+        assert check_equations(cp, section)
+        home, pos = locate_component(cp, section)
+        marking[u] = (cid(home), pos)
+    marking[INF] = (cid(((0,) * chart.n, len(iseq) - 1)),
+                    ProjPoint.infinity(chart.field))
+    tree = curve.MarkedTree(chart.field, [cid(i) for i in idxs], nodes,
+                            marking)
+    return fern_mod.validate_fern(tree, chart.space)
 
 
+def atlas_points(sp):
+    return [cp for flag in complete_flags(sp.vs)
+            for cp in chart_points(Chart.for_flag(sp, flag))]
+
+
+def random_charts(sp, rng, count):
+    """``count`` charts on ordered bases drawn at random from the space."""
+    charts = []
+    while len(charts) < count:
+        basis = [rng.choice(sp.vectors()) for _ in range(sp.dim)]
+        try:
+            charts.append(Chart(sp, basis))
+        except ValueError:  # the draw does not span the space
+            pass
+    return charts
+
+
+@pytest.mark.parametrize("n,q,m", [(2, 2, 1), (2, 2, 2), (2, 3, 1),
+                                   (3, 2, 1), (3, 2, 2)])
+def test_fiber_matches_equation_solved_reference(n, q, m):
+    for cp in atlas_points(space(n, q, m)):
+        assert fiber(cp).tree == reference_fiber(cp).tree
+
+
+def test_fiber_matches_equation_solved_reference_off_the_standard_charts():
+    rng = random.Random(4)
+    charts = [ch for config in [(3, 2, 2), (2, 3, 2), (3, 3, 1), (2, 4, 1)]
+              for ch in random_charts(space(*config), rng, 4)]
+    charts += [Chart(sp) for sp in quotient_spaces()]
+    assert any(ch.space.mod.dim for ch in charts)
+    points = [cp for ch in charts for cp in chart_points(ch)]
+    assert len(points) >= 60
+    for cp in points:
+        assert fiber(cp).tree == reference_fiber(cp).tree
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,q,m", [(4, 2, 1), (2, 2, 4), (3, 3, 1)])
+def test_fiber_matches_equation_solved_reference_wide(n, q, m):
+    for cp in atlas_points(space(n, q, m)):
+        assert fiber(cp).tree == reference_fiber(cp).tree
+
+
+def test_fiber_solves_no_equations(monkeypatch):
+    points = atlas_points(space(3, 2, 1)) + atlas_points(space(2, 3, 1))
+    expected = [fiber(cp).tree for cp in points]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("fiber solved an equation")
+
+    for name in ["section_assignment", "locate_component", "check_equations",
+                 "component_constraint", "PointEquations"]:
+        monkeypatch.setattr(universal, name, refuse)
+    assert [fiber(cp).tree for cp in points] == expected
+
+
+# ---------------------------------------------------------------------------
+# the round trip glues across charts
+# ---------------------------------------------------------------------------
+
+def atlas(sp):
+    return [Chart.for_flag(sp, flag) for flag in complete_flags(sp.vs)]
+
+
+@pytest.mark.parametrize("n,q,m,points,pairs", [(2, 2, 2, 9, 12),
+                                                (2, 3, 2, 28, 72),
+                                                (3, 2, 1, 21, 0)])
+def test_round_trip_fibers_every_chart_holding_the_class(n, q, m, points,
+                                                        pairs, monkeypatch):
+    calls = []
+    real = universal.fiber
+
+    def counted(cp):
+        calls.append(cp)
+        return real(cp)
+
+    monkeypatch.setattr(universal, "fiber", counted)
+    charts = atlas(space(n, q, m))
+    checked = 0
+    for chart in charts:
+        for cp in chart_points(chart):
+            assert round_trip(cp, charts)[1] is None
+            checked += 1
+    assert (checked, len(calls) - checked) == (points, pairs)
+
+
+def test_round_trip_reports_a_fiber_that_does_not_glue(monkeypatch):
+    sp = space(2, 2, 2)
+    charts = atlas(sp)
+    real = universal.fiber
+    first, tampered = charts[0], charts[1]
+    # in the tampered chart every fiber is the one over another point there
+    others = chart_points(tampered)
+
+    def swapped(cp):
+        if cp.chart is not tampered:
+            return real(cp)
+        return real(next(o for o in others if o.t != cp.t))
+
+    monkeypatch.setattr(universal, "fiber", swapped)
+    failures = {round_trip(cp, charts)[1] for cp in chart_points(first)}
+    assert failures == {None, "fibers differ across charts"}
+    # with isomorphy forced, the classes of the swapped fibers still differ
+    monkeypatch.setattr(curve, "are_isomorphic", lambda a, b: {})
+    failures = {round_trip(cp, charts)[1] for cp in chart_points(first)}
+    assert failures == {None, "classes differ across charts"}
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ calling it is the test; the detail text is pinned as ``ferns verify``
 prints it.
 """
 
+import dataclasses
+
 import pytest
 
-from ferns import verify
+from ferns import curve, universal, verify
 
 
 def test_census_cases_are_the_papers_counts():
@@ -61,3 +63,26 @@ def test_graft_axioms_on_pipeline_ferns(pipeline_ferns):
 def test_reciprocal_axioms_on_pipeline_ferns(pipeline_ferns):
     assert verify.criterion_reciprocal(pipeline_ferns) == \
         "40 reciprocal data satisfy both axioms"
+
+
+def test_equivariance_rejects_a_moved_mark_or_failed_equations(monkeypatch):
+    real_fiber = verify.fiber
+
+    def moved(cp):
+        # the marks of two vectors trade places
+        fb = real_fiber(cp)
+        marking = dict(fb.tree.marking)
+        u, w = list(fb.space.vectors())[:2]
+        marking[u], marking[w] = marking[w], marking[u]
+        tree = curve.MarkedTree(fb.tree.field, fb.tree.components,
+                                fb.tree.nodes, marking)
+        return dataclasses.replace(fb, tree=tree)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "fiber", moved)
+        with pytest.raises(AssertionError, match="off its section"):
+            verify.criterion_equivariance()
+    monkeypatch.setattr(universal.PointEquations, "check",
+                        lambda self, assignment: False)
+    with pytest.raises(AssertionError, match="equations fail"):
+        verify.criterion_equivariance()
