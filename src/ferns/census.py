@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .gf import (ExtField, Flag, LinSpace, VSpace, field_make, flags,
-                 gaussian_binomial)
+from .gf import (ExtField, LinSpace, VSpace, field_make, gaussian_binomial,
+                 iter_flags)
 from .universal import compatibility_checker, functional_candidates
 
 
@@ -122,14 +122,13 @@ def bv_count_strata(n: int, q: int, m: int) -> CountReport:
     fld = _field_for(q, m)
     space = VSpace(fld, n)
     strata = []
-    total = 0
-    for flag in sorted(flags(space), key=Flag.key):
+    for flag in iter_flags(space):
         count = 1
         for lo, hi in zip(flag.steps, flag.steps[1:]):
             count *= omega_count(hi.dim - lo.dim, q, m)
         strata.append((flag.key(), count))
-        total += count
-    return CountReport(n, q, m, tuple(strata), total, None)
+    strata.sort()  # by key: keys are distinct
+    return CountReport(n, q, m, tuple(strata), sum(c for _, c in strata), None)
 
 
 def _check_budget(n: int, q: int, m: int, budget: int) -> None:

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Optional, Sequence
 
 #: Marker for the extra point at infinity in marked sets V u {inf}.
 INF = "inf"
@@ -478,7 +478,10 @@ def _rref(space: VSpace, rows: Iterable[Vec]) -> tuple:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F_q^n in reduced echelon form (canonical, hashable)."""
+    """A subspace of F_q^n in reduced echelon form (canonical, hashable).
+
+    The hash reads ``rows`` alone; equality also compares the space.
+    """
 
     space: VSpace
     rows: tuple
@@ -495,20 +498,27 @@ class Subspace:
     def full(cls, space: VSpace) -> "Subspace":
         return cls(space, tuple(space.basis_vector(i + 1) for i in range(space.n)))
 
+    def __hash__(self):
+        return hash(self.rows)
+
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def pivots(self) -> tuple:
+        """The pivot column of each echelon row."""
+        return tuple(next(j for j, c in enumerate(row) if c) for row in self.rows)
+
     def reduce(self, v: Vec) -> Vec:
         """The canonical representative of v modulo this subspace."""
         f = self.space.field
-        v = list(v)
-        for row in self.rows:
-            lead = next(j for j in range(len(row)) if row[j])
+        add, mul, neg = f.s_add, f.s_mul, f.s_neg
+        for lead, row in zip(self.pivots, self.rows):
             c = v[lead]
-            if c:
-                for j in range(len(v)):
-                    v[j] = f.s_add[v[j]][f.s_neg[f.s_mul[c][row[j]]]]
+            if c:  # v - c * row, with the pivot entry of row one
+                scaled = mul[neg[c]]
+                v = [add[a][scaled[b]] for a, b in zip(v, row)]
         return tuple(v)
 
     def contains(self, v: Vec) -> bool:
@@ -620,27 +630,52 @@ class Flag:
         return f"Flag[{' < '.join(str(s.dim) for s in self.steps)}]"
 
 
-def flags(space: VSpace) -> list:
-    """Every flag of F_q^n, i.e. every chain from the zero space to the whole."""
-    lattice = all_subspaces(space)
-    full = Subspace.full(space)
-    out = []
+def _chains(space: VSpace, max_step: int) -> Iterator[Flag]:
+    """The flags of F_q^n whose steps each grow the dimension by at most
+    ``max_step``, one at a time, in depth-first order over the lattice.
 
-    def grow(chain):
+    The containment table is built once per call and lives as long as the
+    generator: for every subspace of the lattice (``all_subspaces``
+    order), the subspaces of the lattice, in that order, that strictly
+    contain it with at most ``max_step`` more dimensions.  The search
+    extends a chain from the zero space by each entry of its top's row in
+    turn and yields it on reaching the whole space.
+    """
+    lattice = all_subspaces(space)
+    above = [[j for j, u in enumerate(lattice)
+              if 0 < u.dim - w.dim <= max_step and u.contains_subspace(w)]
+             for w in lattice]
+    full = len(lattice) - 1  # the only subspace of dimension n comes last
+    stack = [[0]]
+    while stack:
+        chain = stack.pop()
         top = chain[-1]
         if top == full:
-            out.append(Flag(tuple(chain)))
-            return
-        for w in lattice:
-            if w.dim > top.dim and w.contains_subspace(top):
-                grow(chain + [w])
+            yield Flag(tuple(lattice[i] for i in chain))
+        else:
+            stack.extend(chain + [j] for j in reversed(above[top]))
 
-    grow([Subspace.zero(space)])
-    return out
+
+def iter_flags(space: VSpace) -> Iterator[Flag]:
+    """The flags of :func:`flags`, one at a time."""
+    return _chains(space, space.n)
+
+
+def flags(space: VSpace) -> list:
+    """Every flag of F_q^n, i.e. every chain from the zero space to the whole.
+
+    A depth-first search over a containment table built once per call (see
+    :func:`_chains`): each subspace lists, in lattice order, the larger
+    subspaces that contain it, and each chain is extended by the entries
+    of its top in turn.  The flags come out in that order.
+    """
+    return list(iter_flags(space))
 
 
 def complete_flags(space: VSpace) -> list:
-    return [f for f in flags(space) if f.is_complete()]
+    """The complete flags of F_q^n, in the order :func:`flags` lists them:
+    the same search over the subspaces one dimension up."""
+    return list(_chains(space, 1))
 
 
 def adapted_basis(flag: Flag) -> tuple:

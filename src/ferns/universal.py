@@ -56,9 +56,9 @@ class Chart:
     """A complete flag chart: an adapted ordered basis of a linear space.
 
     ``basis`` is an ordered basis (b_1..b_n) of ``space``; the chart's
-    complete flag has steps spanned by basis prefixes.  Coordinates of
-    vectors are taken in this basis, and ``coord_space`` does their
-    arithmetic.
+    complete flag has steps spanned by basis prefixes, and ``positions``
+    maps each step to its index in that flag.  Coordinates of vectors are
+    taken in this basis, and ``coord_space`` does their arithmetic.
     """
 
     def __init__(self, space: LinSpace, basis: Optional[Sequence[Vec]] = None):
@@ -77,6 +77,7 @@ class Chart:
         if steps[-1] != space.sub:
             raise ValueError("basis does not span the space")
         self.flag = Flag(tuple(steps))
+        self.positions = {s: i for i, s in enumerate(steps)}
 
     @classmethod
     def for_flag(cls, space: LinSpace, flag: Flag) -> "Chart":
@@ -100,7 +101,7 @@ class Chart:
         return Flag(tuple(steps))
 
     def adapted_to(self, flag: Flag) -> bool:
-        return all(step in self.flag.steps for step in flag.steps)
+        return all(step in self.positions for step in flag.steps)
 
     def __repr__(self):
         return f"Chart(n={self.n}, q={self.q}, basis={self.basis})"
@@ -134,7 +135,7 @@ def chart_contains(chart: Chart, t: Sequence[FieldElement],
     flag = chart.flag if flag is None else flag
     if not chart.adapted_to(flag):
         raise ValueError("chart basis is not adapted to the flag")
-    interior = {chart.flag.steps.index(s) for s in flag.steps[1:-1]}
+    interior = {chart.positions[s] for s in flag.steps[1:-1]}
     zeros = {i + 1 for i, x in enumerate(t) if not x}
     if not zeros <= interior:
         return False, None
@@ -160,7 +161,7 @@ class ChartPoint:
     @cached_property
     def stratum_indices(self) -> tuple:
         """(i_0 = 0, i_1, ..., i_m = n): positions of the stratum steps."""
-        return tuple(self.chart.flag.steps.index(s) for s in self.stratum.steps)
+        return tuple(self.chart.positions[s] for s in self.stratum.steps)
 
     @cached_property
     def suffix(self) -> tuple:
@@ -511,7 +512,10 @@ class CompatibilityChecker:
 
     For every nested pair of nonzero subspaces the coordinates of the
     small basis inside the big one are tabulated once; checking a
-    functional tuple is then pure scalar arithmetic.
+    functional tuple is then pure scalar arithmetic.  ``pairs`` lists every
+    nested pair, ``plane_pairs`` those whose small side has dimension at
+    least two: any value is a multiple of a single nonzero one, so only
+    those can fail compatibility.
     """
 
     def __init__(self, space: LinSpace):
@@ -527,6 +531,7 @@ class CompatibilityChecker:
                 big = space.subquotient(w_big)
                 coords = tuple(big.coords(b) for b in small.basis())
                 self.pairs.append((w_small, w_big, coords))
+        self.plane_pairs = [pair for pair in self.pairs if len(pair[2]) >= 2]
 
     def _restrict(self, functionals, w_big, coords):
         combine, big_vals = self.space.field.combine, functionals[w_big]
@@ -536,11 +541,9 @@ class CompatibilityChecker:
         """The compatibility condition: for every pair of nested subspaces
         the larger functional restricts to a (possibly zero) multiple of
         the smaller one."""
-        for w_small, w_big, coords in self.pairs:
+        for w_small, w_big, coords in self.plane_pairs:
             small_vals = functionals[w_small]
             d = len(small_vals)
-            if d < 2:  # any value is a multiple of a single nonzero one
-                continue
             big_vals = self._restrict(functionals, w_big, coords)
             for i in range(d):
                 for j in range(i + 1, d):

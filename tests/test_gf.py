@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ferns import gf
-from ferns.gf import (INF, GroupElement, LinSpace, Subspace, VSpace,
-                      adapted_basis, canonical_modulus, complete_flags,
-                      field_make, flags, gaussian_binomial, group_act,
-                      group_elements, group_inv, group_mul, is_irreducible,
-                      subspaces)
+from ferns.gf import (INF, Flag, GroupElement, LinSpace, Subspace, VSpace,
+                      adapted_basis, all_subspaces, canonical_modulus,
+                      complete_flags, field_make, flags, gaussian_binomial,
+                      group_act, group_elements, group_inv, group_mul,
+                      is_irreducible, iter_flags, subspaces)
 from ferns.universal import Chart
+
+from conftest import space
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +251,68 @@ def test_flag_counts():
     all_flags = flags(vs3)
     assert len(all_flags) == 36  # 1 + 7 + 7 + 21
     assert sum(1 for f in all_flags if f.is_complete()) == 21
+
+
+def reference_flags(vs):
+    # the search without a containment table: every node scans the whole
+    # lattice and tests containment afresh
+    lattice = all_subspaces(vs)
+    full = Subspace.full(vs)
+    out = []
+
+    def grow(chain):
+        top = chain[-1]
+        if top == full:
+            out.append(Flag(tuple(chain)))
+            return
+        for w in lattice:
+            if w.dim > top.dim and w.contains_subspace(top):
+                grow(chain + [w])
+
+    grow([Subspace.zero(vs)])
+    return out
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3),
+                                 (4, 2), (2, 4)])
+def test_flags_match_the_lattice_scan(n, q):
+    vs = space(n, q).vs
+    expected = reference_flags(vs)
+    assert flags(vs) == expected
+    assert list(iter_flags(vs)) == expected
+    assert complete_flags(vs) == [f for f in expected if f.is_complete()]
+
+
+def reference_reduce(w, v):
+    # row by row in the field's own elements, each pivot found afresh
+    fld = w.space.field
+    index = {x: i for i, x in enumerate(fld.scalars)}
+    out = [fld.scalars[c] for c in v]
+    for row in w.rows:
+        lead = next(j for j in range(len(row)) if row[j])
+        c = out[lead]
+        out = [x - c * fld.scalars[r] for x, r in zip(out, row)]
+    return tuple(index[x] for x in out)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_reduce_matches_row_by_row_reference(q):
+    vs = space(3, q).vs
+    for w in all_subspaces(vs):
+        assert w.pivots == tuple(next(j for j, c in enumerate(r) if c)
+                                 for r in w.rows)
+        for v in vs.vectors():
+            assert w.reduce(v) == reference_reduce(w, v)
+
+
+def test_subspace_hash_reads_rows_and_equality_the_space():
+    vs = VSpace(field_make(2), 3)
+    a = Subspace.from_vectors(vs, [(1, 1, 0), (0, 1, 1)])
+    b = Subspace.from_vectors(VSpace(field_make(2), 3), [(0, 1, 1), (1, 0, 1)])
+    assert a == b and hash(a) == hash(b)
+    other = Subspace(VSpace(field_make(2, 1, 2), 3), a.rows)  # over GF(4)
+    assert other != a and hash(other) == hash(a)
+    assert len({a, b, other}) == 2
 
 
 def test_adapted_basis_spans_prefixes():

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from ferns import curve
 from ferns import fern as fern_mod
 from ferns.curve import ProjPoint
+from ferns.census import bv_count_strata
 from ferns.fern import Fern, contract_fern, line_data, reciprocal_data
-from ferns.gf import (INF, LinSpace, Subspace, VSpace, complete_flags,
+from ferns.gf import (INF, Flag, LinSpace, Subspace, VSpace, complete_flags,
                       field_make, group_elements)
 from ferns.rand import random_fern, random_pipeline_fern
 from ferns import universal
-from ferns.universal import (Chart, ClassPoint, PointEquations,
+from ferns.universal import (Chart, ChartPoint, ClassPoint, PointEquations,
                              chart_contains, chart_coords, chart_point,
                              chart_points, check_equations, classify,
                              compatibility_checker, component_constraint,
@@ -194,6 +195,28 @@ def test_chart_requires_adapted_basis():
              if f.steps != ch.flag.steps][0]
     with pytest.raises(ValueError):
         chart_contains(ch, (sp.field.zero,), flag=other)
+
+
+def test_chart_positions_read_the_flag_once():
+    sp = space(3, 2, 2)
+    ch = Chart(sp)
+    assert [ch.positions[s] for s in ch.flag.steps] == [0, 1, 2, 3]
+    fld = sp.field
+    omega = fld.element((0, 1))
+    coarse = Flag((sp.mod, ch.flag.steps[2], sp.sub))
+    assert ch.adapted_to(coarse)
+    ok, stratum = chart_contains(ch, (omega, fld.zero), flag=coarse)
+    assert ok and stratum == coarse
+    assert ChartPoint(ch, (omega, fld.zero), stratum).stratum_indices \
+        == (0, 2, 3)
+    # a plane that the chart's flag skips: the flag through it is not
+    # adapted to the chart, whatever the coordinates
+    plane = next(w for w in sp.subspace_steps(2) if w not in ch.positions)
+    skew = Flag((sp.mod, plane, sp.sub))
+    assert not ch.adapted_to(skew)
+    for t in ((omega, fld.zero), (omega, omega)):
+        with pytest.raises(ValueError):
+            chart_contains(ch, t, flag=skew)
 
 
 def test_subflag_chart_membership():
@@ -678,6 +701,43 @@ def test_bv_member_rejects_incompatible_tuple():
     small = point.functionals[w_plane]
     assert restricted[0] * small[1] != restricted[1] * small[0]
     assert not compatibility_checker(sp).bv_ok(point.functionals)
+
+
+def reference_bv_ok(checker, functionals):
+    # every nested pair, those whose small side is a line included
+    combine = checker.space.field.combine
+    for w_small, w_big, coords in checker.pairs:
+        small, big = functionals[w_small], functionals[w_big]
+        for i, j in itertools.combinations(range(len(small)), 2):
+            if combine(coords[i], big) * small[j] \
+                    != combine(coords[j], big) * small[i]:
+                return False
+    return True
+
+
+def oracle_tuples(sp):
+    subs = [w for d in range(1, sp.dim + 1) for w in sp.subspace_steps(d)]
+    candidates = [functional_candidates(sp, w) for w in subs]
+    for combo in itertools.product(*candidates):
+        yield dict(zip(subs, combo))
+
+
+@pytest.mark.parametrize("sp", [
+    space(2, 2, 2), space(3, 2),
+    LinSpace(space(4, 2).vs, Subspace.full(space(4, 2).vs),
+             Subspace.from_vectors(space(4, 2).vs, [(0, 1, 1, 0)]))],
+    ids=["F2^2/GF4", "F2^3", "F2^4/line"])
+def test_bv_ok_matches_every_pair_reference(sp):
+    checker = compatibility_checker(sp)
+    assert [p for p in checker.pairs
+            if sp.subquotient(p[0]).dim >= 2] == checker.plane_pairs
+    verdicts = []
+    for functionals in oracle_tuples(sp):
+        verdict = checker.bv_ok(functionals)
+        assert verdict == reference_bv_ok(checker, functionals)
+        verdicts.append(verdict)
+    assert sum(verdicts) == bv_count_strata(sp.dim, sp.q, sp.field.m).total
+    assert all(verdicts) == (not checker.plane_pairs)
 
 
 def test_uf_member_respects_flag_pairs():
