@@ -17,9 +17,12 @@ surgeries coordinate transports:
                       no second tree is given),
 * ``are_isomorphic``  the label-preserving case between two trees.
 
-Trees are immutable; every operation returns new values.  Unstable trees
-are representable (they occur as stabilization inputs and as contraction
-images); only ``MarkedTree.validate`` decides stability.
+Trees are immutable; every operation returns new values.  Each tree builds
+the data that every isomorphism search and every reading of entry points
+shares, ``MarkedTree.entry`` and ``MarkedTree.anchors``, on first use and
+keeps it.  Unstable trees are representable (they occur as stabilization
+inputs and as contraction images); only ``MarkedTree.validate`` decides
+stability.
 """
 
 from __future__ import annotations
@@ -171,15 +174,6 @@ def _cid_key(cid) -> str:
 
 
 @dataclass(frozen=True)
-class Component:
-    """A view of one component: its marks and its node points by neighbor."""
-
-    cid: object
-    marks: dict
-    node_points: dict  # neighbor cid -> position on this component
-
-
-@dataclass(frozen=True)
 class StabilityReport:
     violations: Tuple[str, ...]
 
@@ -196,10 +190,14 @@ class MarkedTree:
     transported non-structural points (for instance the forgotten marks
     after a contraction); they may collide freely and are ignored by
     ``validate`` and ``are_isomorphic``.
+
+    ``entry`` and ``anchors`` are derived from the structure on first use
+    and kept, so every search and every reading of entry points on one
+    tree shares them.
     """
 
     __slots__ = ("field", "components", "nodes", "marking", "extra",
-                 "_adj", "_marks_on")
+                 "_adj", "_marks_on", "_entry", "_anchors")
 
     def __init__(self, fld: ExtField, components: Iterable, nodes: Iterable,
                  marking: Dict, extra: Optional[Dict] = None):
@@ -225,6 +223,7 @@ class MarkedTree:
         for lbl, (cid, pt) in self.marking.items():
             marks_on[cid][lbl] = pt
         self._marks_on = marks_on
+        self._entry = self._anchors = None
 
     # -- structure ----------------------------------------------------------
 
@@ -234,8 +233,36 @@ class MarkedTree:
     def marks_on(self, cid) -> dict:
         return self._marks_on[cid]
 
-    def component(self, cid) -> Component:
-        return Component(cid, dict(self._marks_on[cid]), dict(self._adj[cid]))
+    @property
+    def entry(self) -> Dict[object, Dict[object, ProjPoint]]:
+        """The entry maps: for each component, the point through which
+        every mark is reached (:func:`entry_points`)."""
+        if self._entry is None:
+            self._entry = {c: entry_points(self, c) for c in self.components}
+        return self._entry
+
+    @property
+    def anchors(self) -> Dict[object, Tuple[tuple, Mobius]]:
+        """For each component c reached through three or more points, three
+        marks reached through distinct points of c (the smallest by
+        ``repr`` of the smallest mark in each direction) and the Moebius
+        map sending their entry points to (0:1), (1:1), (1:0).  A component
+        reached through fewer points is left out, and searching from it
+        raises."""
+        if self._anchors is None:
+            self._anchors = {}
+            for c, entry in self.entry.items():
+                by_point: Dict[ProjPoint, list] = {}
+                for lbl, pt in entry.items():
+                    by_point.setdefault(pt, []).append(lbl)
+                if len(by_point) < 3:
+                    continue
+                marks = tuple(sorted(
+                    (min(lbls, key=repr) for lbls in by_point.values()),
+                    key=repr)[:3])
+                self._anchors[c] = (
+                    marks, Mobius.to_standard(*(entry[a] for a in marks)))
+        return self._anchors
 
     def is_connected_tree(self) -> bool:
         if not self.components:
@@ -269,11 +296,7 @@ class MarkedTree:
                     queue.append(d)
         raise ValueError("components live in different trees")
 
-    # -- rebuilding ---------------------------------------------------------
-
-    def with_marking(self, marking: Dict, extra: Optional[Dict] = None) -> "MarkedTree":
-        return MarkedTree(self.field, self.components, self.nodes, marking,
-                          self.extra if extra is None else extra)
+    # -- identity -----------------------------------------------------------
 
     def canonical_key(self):
         return (
@@ -564,7 +587,8 @@ def entry_points(t: MarkedTree, c) -> Dict[object, ProjPoint]:
     These are the marks' positions on c after every other component is
     collapsed, as :func:`contract_to_component` does, and on c after any
     contraction in which c survives, since contraction never moves a
-    surviving component's coordinate.
+    surviving component's coordinate.  ``MarkedTree.entry`` keeps the
+    result for every component; read it there.
     """
     entry = dict(t.marks_on(c))
     for nb, pt_here in t.neighbors(c).items():
@@ -581,51 +605,11 @@ def entry_points(t: MarkedTree, c) -> Dict[object, ProjPoint]:
     return entry
 
 
-def _entry_maps(t: MarkedTree) -> Dict[object, Dict[object, ProjPoint]]:
-    """For each component, the point through which every mark is reached."""
-    return {c: entry_points(t, c) for c in t.components}
-
-
-def _mark_key(label) -> str:
-    return repr(label)
-
-
-class AnchoredTree:
-    """The data of a tree that every isomorphism search from it reuses.
-
-    ``entry`` holds the entry maps: for each component, the point through
-    which every mark is reached.  ``anchors[c]`` names three marks reached
-    through distinct points of c (the smallest by ``repr`` of the smallest
-    mark in each direction), and ``std[c]`` is the Moebius map sending
-    their entry points to (0:1), (1:1), (1:0).  A component with fewer
-    than three directions gets neither; searching from it raises.
-    """
-
-    __slots__ = ("tree", "entry", "anchors", "std")
-
-    def __init__(self, t: MarkedTree):
-        self.tree = t
-        self.entry = _entry_maps(t)
-        self.anchors: Dict[object, Tuple] = {}
-        self.std: Dict[object, Mobius] = {}
-        key = {lbl: _mark_key(lbl) for lbl in t.marking}.__getitem__
-        for c, entry in self.entry.items():
-            by_point: Dict[ProjPoint, list] = {}
-            for lbl, pt in entry.items():
-                by_point.setdefault(pt, []).append(lbl)
-            if len(by_point) < 3:
-                continue
-            directions = sorted(
-                (min(lbls, key=key) for lbls in by_point.values()), key=key)
-            anchors = self.anchors[c] = tuple(directions[:3])
-            self.std[c] = Mobius.to_standard(*(entry[a] for a in anchors))
-
-
-def marked_isomorphism(src: AnchoredTree, relabel: dict,
+def marked_isomorphism(t1: MarkedTree, relabel: dict,
                        dst: Optional[MarkedTree] = None
                        ) -> Optional[Correspondence]:
-    """The isomorphism from src's tree to ``dst`` (default: src's tree
-    itself) sending each mark w to the mark ``relabel[w]``, or None.
+    """The isomorphism from t1 to ``dst`` (default: t1 itself) sending
+    each mark w to the mark ``relabel[w]``, or None.
 
     The component bijection is forced: each component c is the meeting
     point of its three anchor marks, so its image is the unique component
@@ -634,16 +618,17 @@ def marked_isomorphism(src: AnchoredTree, relabel: dict,
     which every mark and every node then confirms or refutes.  The trees
     must have equally many components and nodes, which
     :func:`are_isomorphic` checks.  Without ``dst``, this finds the
-    automorphism that permutes the marks by ``relabel``, on src's own
-    entry maps; no relabelled copy is built.
+    automorphism that permutes the marks by ``relabel``, on t1's own
+    entry maps; no relabelled copy is built.  Both trees' anchors and
+    entry maps are the ones they keep.
     """
-    t1 = src.tree
-    t2, entry2 = (t1, src.entry) if dst is None else (dst, _entry_maps(dst))
+    t2 = t1 if dst is None else dst
+    anchors1, entry2 = t1.anchors, t2.entry
     comp_map, mobius = {}, {}
     for c in t1.components:
-        anchors = src.anchors.get(c)
-        if anchors is None:
+        if c not in anchors1:
             raise ValueError("tree is not stable")
+        anchors, src_std = anchors1[c]
         images = [relabel[a] for a in anchors]
         candidates = [
             d for d in t2.components
@@ -656,7 +641,7 @@ def marked_isomorphism(src: AnchoredTree, relabel: dict,
         d = candidates[0]
         comp_map[c] = d
         dst_std = Mobius.to_standard(*(entry2[d][a] for a in images))
-        mobius[c] = dst_std.inverse().compose(src.std[c])
+        mobius[c] = dst_std.inverse().compose(src_std)
 
     if len(set(comp_map.values())) != len(comp_map):
         return None
@@ -686,5 +671,4 @@ def are_isomorphic(t1: MarkedTree, t2: MarkedTree) -> Optional[Correspondence]:
     if (len(t1.components) != len(t2.components)
             or len(t1.nodes) != len(t2.nodes)):
         return None
-    return marked_isomorphism(AnchoredTree(t1),
-                              {lbl: lbl for lbl in t1.marking}, t2)
+    return marked_isomorphism(t1, {lbl: lbl for lbl in t1.marking}, t2)

@@ -5,20 +5,20 @@ The action itself is never stored.  Morphisms of stable marked trees are
 unique, so the automorphism attached to a group element g = (v, xi) is
 exactly the isomorphism from the tree to itself that sends mark w to mark
 g.w = xi*w + v, and these automorphisms compose like the group elements.
-Each search runs on the tree's own data (``curve.AnchoredTree``, built
-once per validation) with the marks relabelled by g; no relabelled copy
-of the tree is made.  Validation searches only for the automorphisms of
-the n basis translations and, for q > 2, of one primitive scalar.  When
-one of these searches fails, it scans all of G, so that the violations
-name every group element without an automorphism.  The chain of
-components joining the 0-mark to the infinity-mark yields the associated
-flag: step i is the stabilizer of the i-th chain component under
-translations, spanned by the marks that do not enter that component
-through the point toward infinity, so it is read off the chain's entry
-points.  A scalar must act on each chain component by scaling in a
-coordinate that puts the entry points of the 0-mark and the infinity mark
-at zero and infinity; any two such coordinates differ by a scaling, which
-commutes with the action, so no third point is needed.
+Each search runs on the data the tree keeps (``MarkedTree.entry`` and
+``MarkedTree.anchors``) with the marks relabelled by g; no relabelled copy
+of the tree is made.  An action is determined by its generators, so
+validation searches only for the automorphisms of the n basis
+translations and, for q > 2, of one primitive scalar, and its violations
+name the generators that fail.  The chain of components joining the
+0-mark to the infinity-mark yields the associated flag: step i is the
+stabilizer of the i-th chain component under translations, spanned by the
+marks that do not enter that component through the point toward infinity,
+so it is read off the chain's entry points.  A scalar must act on each
+chain component by scaling in a coordinate that puts the entry points of
+the 0-mark and the infinity mark at zero and infinity; any two such
+coordinates differ by a scaling, which commutes with the action, so no
+third point is needed.
 
 Derived data, each a functional class: values up to one common scalar,
 read in such a two-point coordinate and then canonically scaled:
@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 from . import curve
 from .curve import MarkedTree, Mobius, Correspondence
 from .gf import (INF, FieldElement, Flag, GroupElement, LinSpace, Subspace,
-                 group_act, group_elements)
+                 group_act)
 
 Vec = tuple
 
@@ -84,30 +84,26 @@ def _chain_of(tree: MarkedTree, space: LinSpace) -> Tuple:
 def fern_violations(tree: MarkedTree, space: LinSpace) -> List[str]:
     """All fern-axiom violations of a marked tree; empty means valid.
 
-    Checks, in order: the mark set, stability, the existence of a marked
-    isomorphism for every group element (the witnessing element is
-    reported on failure), and the scalar action on each chain component.
-    The isomorphisms are searched for the generators of G first, and for
-    every element once one of those is missing or the scalar generator
-    does not act by scaling.
+    Checks, in order: the mark set, stability, then the generators of G:
+    each basis translation without a marked isomorphism, and for q > 2
+    the primitive scalar, either without one or with the chain components
+    that it does not scale.  The group is generated by these, so a tree
+    passes exactly when every element of G has an automorphism and every
+    scalar scales the chain.
     """
     return _check_axioms(tree, space)[0]
 
 
 def _check_axioms(tree: MarkedTree, space: LinSpace):
-    """The violations, plus the anchored tree and the chain; without
-    violations, the flag is read off the chain's entry maps.
+    """The violations and the chain (None when the shape is wrong).
 
-    Only the generators of G are searched; when one of them fails, the
-    scan over all of G lists the violations."""
+    After the mark-set and stability checks, only the generators of G are
+    searched, each once, on the tree's own entry maps and anchors."""
     violations = _shape_violations(tree, space)
     if violations:
-        return violations, None, None
-    anchored = curve.AnchoredTree(tree)
+        return violations, None
     chain = _chain_of(tree, space)
-    if not _generator_axioms(anchored, space, chain):
-        violations = _scan_axioms(anchored, space, chain)
-    return violations, anchored, chain
+    return _generator_axioms(tree, space, chain), chain
 
 
 def _shape_violations(tree: MarkedTree, space: LinSpace) -> List[str]:
@@ -117,12 +113,11 @@ def _shape_violations(tree: MarkedTree, space: LinSpace) -> List[str]:
     return list(tree.validate().violations)
 
 
-def _automorphism(anchored: curve.AnchoredTree,
-                  g: GroupElement) -> Optional[Correspondence]:
+def _automorphism(tree: MarkedTree, g: GroupElement) -> Optional[Correspondence]:
     """The automorphism of g, if any: the marked isomorphism from the tree
     to itself sending mark w to mark g.w (infinity is fixed)."""
-    relabel = {w: group_act(g, w) for w in anchored.tree.marking}
-    return curve.marked_isomorphism(anchored, relabel)
+    relabel = {w: group_act(g, w) for w in tree.marking}
+    return curve.marked_isomorphism(tree, relabel)
 
 
 def _scaling_violations(entry, space: LinSpace, chain,
@@ -144,29 +139,6 @@ def _scaling_violations(entry, space: LinSpace, chain,
     return out
 
 
-def _scan_axioms(anchored: curve.AnchoredTree, space: LinSpace,
-                 chain) -> List[str]:
-    """The violations of the axioms checked on every element of G: one
-    search per element, then the scaling axiom for every scalar.  The
-    failure path of validation, which words its violations, and the oracle
-    its generator path is tested against; the tree must have passed
-    :func:`_shape_violations`."""
-    violations: List[str] = []
-    scalars: Dict[int, Correspondence] = {}
-    for g in group_elements(space):
-        corr = _automorphism(anchored, g)
-        if corr is None:
-            violations.append(f"no marked isomorphism for (v={g.v}, xi={g.xi})")
-        elif g.v == space.zero:
-            scalars[g.xi] = corr
-    if violations:
-        return violations
-    for xi in range(2, space.q):
-        violations.extend(_scaling_violations(anchored.entry, space, chain,
-                                              scalars[xi], xi))
-    return violations
-
-
 def _primitive_scalar(fld) -> int:
     """The smallest scalar index generating F_q^* (q > 2)."""
     for xi in range(2, fld.q):
@@ -178,28 +150,32 @@ def _primitive_scalar(fld) -> int:
     raise AssertionError("F_q^* has no generator")
 
 
-def _generator_axioms(anchored: curve.AnchoredTree, space: LinSpace,
-                      chain) -> bool:
-    """Whether the generators of G have automorphisms and the scalar
-    generator scales each chain component.
+def _generator_axioms(tree: MarkedTree, space: LinSpace, chain) -> List[str]:
+    """The violations of the generators of G: each basis translation
+    (b, 1) without an automorphism, then, for q > 2, the primitive scalar
+    (0, xi0) without one or the chain components it does not scale by xi0.
 
-    The generators are the basis translations (b, 1) and, for q > 2, a
-    primitive scalar (0, xi0).  Automorphisms compose (phi_g phi_h =
-    phi_gh), so the rest of G has automorphisms too; and every scalar is a
-    power xi0^k, so when xi0 scales each chain component by xi0, xi0^k
-    scales it by xi0^k.  No translation's component permutation is
-    needed: :func:`validate_fern` reads the flag off the chain's entry
+    Every generator is searched, even after a failure, so a tree costs at
+    most n + 1 searches.  Automorphisms compose (phi_g phi_h = phi_gh), so
+    when the generators have them, the rest of G has them too; and every
+    scalar is a power xi0^k, so when xi0 scales each chain component by
+    xi0, xi0^k scales it by xi0^k.  No translation's component permutation
+    is needed: :func:`validate_fern` reads the flag off the chain's entry
     points.
     """
-    for b in space.basis():
-        if _automorphism(anchored, GroupElement(space, b, 1)) is None:
-            return False
-    if space.q == 2:
-        return True
-    xi0 = _primitive_scalar(space.field)
-    corr = _automorphism(anchored, GroupElement(space, space.zero, xi0))
-    return corr is not None and not _scaling_violations(
-        anchored.entry, space, chain, corr, xi0)
+    generators = [GroupElement(space, b, 1) for b in space.basis()]
+    if space.q > 2:
+        generators.append(
+            GroupElement(space, space.zero, _primitive_scalar(space.field)))
+    violations = []
+    for g in generators:
+        corr = _automorphism(tree, g)
+        if corr is None:
+            violations.append(f"no marked isomorphism for (v={g.v}, xi={g.xi})")
+        elif g.xi != 1:
+            violations.extend(
+                _scaling_violations(tree.entry, space, chain, corr, g.xi))
+    return violations
 
 
 def validate_fern(tree: MarkedTree, space: LinSpace) -> Fern:
@@ -212,12 +188,12 @@ def validate_fern(tree: MarkedTree, space: LinSpace) -> Fern:
     c exactly when the v-mark is not reached from c through the point
     toward infinity: the flag is read off the chain's entry points.
     """
-    violations, anchored, chain = _check_axioms(tree, space)
+    violations, chain = _check_axioms(tree, space)
     if violations:
         raise InvalidFern(violations)
     steps = [space.mod]
     for cid in chain:
-        entry = anchored.entry[cid]
+        entry = tree.entry[cid]
         fixed = [v for v in space.vectors() if entry[v] != entry[INF]]
         steps.append(Subspace.from_vectors(
             space.vs, list(space.mod.rows) + fixed))
@@ -257,13 +233,15 @@ def graft(sub_fern: Fern, quot_fern: Fern, complement: Subspace) -> Fern:
     infinity mark of each copy is glued to the corresponding quotient
     mark, and the copy indexed by u re-marks u + v' at the v' mark.
     """
-    return validate_fern(*_glue(sub_fern, quot_fern, complement))
+    return validate_fern(*_glue((sub_fern.tree, sub_fern.space),
+                                (quot_fern.tree, quot_fern.space), complement))
 
 
-def _glue(sub_fern: Fern, quot_fern: Fern,
+def _glue(sub: Tuple[MarkedTree, LinSpace], quot: Tuple[MarkedTree, LinSpace],
           complement: Subspace) -> Tuple[MarkedTree, LinSpace]:
-    """The tree and the space of :func:`graft`, not yet validated."""
-    sp_sub, sp_quot = sub_fern.space, quot_fern.space
+    """The tree and the space of :func:`graft`, from the (tree, space)
+    pairs of the two ferns, not yet validated."""
+    (sub_tree, sp_sub), (quot_tree, sp_quot) = sub, quot
     if sp_sub.vs != sp_quot.vs:
         raise ValueError("ferns live over different coordinate spaces")
     if sp_quot.mod != sp_sub.sub:
@@ -279,23 +257,23 @@ def _glue(sub_fern: Fern, quot_fern: Fern,
     reps = LinSpace(sp_sub.vs, complement, u_mod).vectors()
 
     fld = sp_sub.field
-    components = [("quot", c) for c in quot_fern.tree.components]
+    components = [("quot", c) for c in quot_tree.components]
     nodes = [curve.node(("quot", c1), p1, ("quot", c2), p2)
-             for (c1, p1), (c2, p2) in map(tuple, quot_fern.tree.nodes)]
-    marking = {INF: (("quot", quot_fern.tree.marking[INF][0]),
-                     quot_fern.tree.marking[INF][1])}
+             for (c1, p1), (c2, p2) in map(tuple, quot_tree.nodes)]
+    marking = {INF: (("quot", quot_tree.marking[INF][0]),
+                     quot_tree.marking[INF][1])}
     for u in reps:
         tag = ("sub", u)
-        components.extend([(tag, c) for c in sub_fern.tree.components])
+        components.extend([(tag, c) for c in sub_tree.components])
         nodes.extend(curve.node((tag, c1), p1, (tag, c2), p2)
-                     for (c1, p1), (c2, p2) in map(tuple, sub_fern.tree.nodes))
+                     for (c1, p1), (c2, p2) in map(tuple, sub_tree.nodes))
         for v in sp_sub.vectors():
-            cid, pt = sub_fern.tree.marking[v]
+            cid, pt = sub_tree.marking[v]
             marking[target.add(u, v)] = ((tag, cid), pt)
         # glue the copy's infinity point to the quotient mark of u
-        inf_cid, inf_pt = sub_fern.tree.marking[INF]
+        inf_cid, inf_pt = sub_tree.marking[INF]
         qmark = sp_quot.reduce(u)
-        q_cid, q_pt = quot_fern.tree.marking[qmark]
+        q_cid, q_pt = quot_tree.marking[qmark]
         nodes.append(curve.node((tag, inf_cid), inf_pt, ("quot", q_cid), q_pt))
     return MarkedTree(fld, components, nodes, marking), target
 
@@ -345,13 +323,10 @@ class RecipData:
     space: LinSpace
     values: dict  # nonzero vector rep -> FieldElement
 
-    def support(self) -> list:
-        return [v for v, x in self.values.items() if x]
-
 
 def _line_values(entry: dict, origin, pole, marks) -> Dict[Vec, FieldElement]:
     """Values of the vector ``marks`` (not ``pole``) on one component,
-    given every mark's entry point there (:func:`curve.entry_points`), in
+    given every mark's entry point there (``MarkedTree.entry``), in
     a coordinate that puts the ``origin`` mark at zero and the pole at
     infinity.  That fixes the values up to one common scalar, which the
     callers fix by canonical scaling."""
@@ -366,7 +341,7 @@ def line_data(f: Fern) -> LineData:
     infinity; the scale is then canonicalized.  The kernel is exactly the
     second to last step of the associated flag.
     """
-    entry = curve.entry_points(f.tree, f.tree.marking[INF][0])
+    entry = f.tree.entry[f.tree.marking[INF][0]]
     values = _line_values(entry, f.space.zero, INF, f.space.vectors())
     return LineData(f.space, _canonical_scale(f.space, values))
 
@@ -379,7 +354,7 @@ def reciprocal_data(f: Fern) -> RecipData:
     the infinity direction (everything off the first flag step).
     """
     zero = f.space.zero
-    entry = curve.entry_points(f.tree, f.tree.marking[zero][0])
+    entry = f.tree.entry[f.tree.marking[zero][0]]
     values = _line_values(entry, INF, zero,
                           [v for v in f.space.vectors() if v != zero])
     return RecipData(f.space, _canonical_scale(f.space, values))

@@ -547,6 +547,11 @@ class Subspace:
 
     def key(self) -> str:
         """Canonical string key (used for serialization and sorting)."""
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:
+        """The key string, built once per subspace like its pivots."""
         return ";".join(",".join(str(c) for c in row) for row in self.rows)
 
     def __repr__(self):
@@ -605,10 +610,6 @@ class Flag:
         for a, b in zip(self.steps, self.steps[1:]):
             if not (b.contains_subspace(a) and a.dim < b.dim):
                 raise ValueError("flag steps must strictly increase")
-
-    @property
-    def length(self) -> int:
-        return len(self.steps) - 1
 
     def is_complete(self) -> bool:
         return all(b.dim == a.dim + 1 for a, b in zip(self.steps, self.steps[1:]))
@@ -726,13 +727,12 @@ class LinSpace:
     def full(cls, vs: VSpace) -> "LinSpace":
         return cls(vs, Subspace.full(vs), Subspace.zero(vs))
 
-    def subquotient(self, sub: Subspace, mod: Optional[Subspace] = None) -> "LinSpace":
-        """The subquotient sub/mod (default mod: this space's modulus), kept
-        on this space so that its caches amortize across callers."""
-        key = (sub, self.mod if mod is None else mod)
-        out = self._subquotients.get(key)
+    def subquotient(self, sub: Subspace) -> "LinSpace":
+        """The subquotient sub/U over this space's modulus U, kept on this
+        space so that its caches amortize across callers."""
+        out = self._subquotients.get(sub)
         if out is None:
-            out = self._subquotients[key] = LinSpace(self.vs, *key)
+            out = self._subquotients[sub] = LinSpace(self.vs, sub, self.mod)
         return out
 
     def __eq__(self, other):
@@ -777,9 +777,6 @@ class LinSpace:
 
     def neg(self, v: Vec) -> Vec:
         return self.reduce(self.vs.neg(v))
-
-    def sub_vec(self, u: Vec, v: Vec) -> Vec:
-        return self.reduce(self.vs.sub(u, v))
 
     def scale(self, c: int, v: Vec) -> Vec:
         return self.reduce(self.vs.scale(c, v))

@@ -5,8 +5,9 @@ stage is a genuine stable tree; ferns are assembled recursively, either as
 a single projective line with an injective linear marking (when the value
 field has room) or by grafting a fern on a random proper step onto a fern
 on the quotient.  A random coordinate change per component is applied at
-the end so that consumers never see a preferred presentation; each fern
-is validated once, after that change.
+the end so that consumers never see a preferred presentation.  The pieces
+of a graft stay unvalidated (tree, space) pairs, so each fern is
+validated once, after that change.
 """
 
 from __future__ import annotations
@@ -136,31 +137,33 @@ def _smooth_tree(space: LinSpace, rng: random.Random) -> Optional[MarkedTree]:
                                        cid=("P", space.sub.key()))
 
 
-def random_fern(space: LinSpace, rng: random.Random, remap: bool = True) -> Fern:
+def random_fern(space: LinSpace, rng: random.Random) -> Fern:
     """A random fern on the space: smooth when possible and chosen, else a
     graft along a random proper step with a random complement.  The tree
-    is validated once, after the coordinate change if there is one."""
+    is validated once, after a random coordinate change per component."""
+    tree, target = _random_tree(space, rng)
+    return validate_fern(random_remap(tree, rng), target)
+
+
+def _random_tree(space: LinSpace,
+                 rng: random.Random) -> Tuple[MarkedTree, LinSpace]:
+    """The tree and the space of :func:`random_fern` before its coordinate
+    change, not yet validated; grafts glue the pairs of their pieces."""
     can_be_smooth = space.dim <= space.field.m * space.field.e  # room in K
     want_smooth = space.dim == 1 or (can_be_smooth and rng.random() < 0.5)
     tree = _smooth_tree(space, rng) if want_smooth else None
-    target = space
+    if tree is not None:
+        return tree, space
+    steps = space.proper_steps()
+    if steps:
+        w = rng.choice(steps)
+        sub = _random_tree(LinSpace(space.vs, w, space.mod), rng)
+        quot = _random_tree(LinSpace(space.vs, space.sub, w), rng)
+        return _glue(sub, quot, random_complement(space, w, rng))
+    tree = _smooth_tree(space, rng)
     if tree is None:
-        steps = space.proper_steps()
-        if steps:
-            w = rng.choice(steps)
-            sub_fern = random_fern(LinSpace(space.vs, w, space.mod), rng,
-                                   remap=False)
-            quot_fern = random_fern(LinSpace(space.vs, space.sub, w), rng,
-                                    remap=False)
-            complement = random_complement(space, w, rng)
-            tree, target = _glue(sub_fern, quot_fern, complement)
-        else:
-            tree = _smooth_tree(space, rng)
-            if tree is None:
-                raise ValueError("dimension-1 space over a field with no room")
-    if remap:
-        tree = random_remap(tree, rng)
-    return validate_fern(tree, target)
+        raise ValueError("dimension-1 space over a field with no room")
+    return tree, space
 
 
 def random_complement(space: LinSpace, w: Subspace,

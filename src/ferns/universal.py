@@ -432,15 +432,16 @@ def classify(f: Fern) -> ClassPoint:
     surviving component and lands each forgotten branch at its node
     point, so that contraction, squashed onto its infinity component, is
     one component c_W of the fern with each mark of W at its entry point
-    there (:func:`curve.entry_points`).  c_W is the first component on
-    the path from the infinity mark to the 0-mark where the marks of W
-    enter through at least two points.  None of them enters c_W through
-    the infinity mark's point: a mark of W on that side sits on or hangs
-    off an earlier path component, which the 0-mark enters through
-    another point, so that earlier component would come first.
+    there (:func:`curve.entry_points`), read from the entry maps that the
+    fern's tree keeps and its validation already built.  c_W is the first
+    component on the path from the infinity mark to the 0-mark where the
+    marks of W enter through at least two points.  None of them enters
+    c_W through the infinity mark's point: a mark of W on that side sits
+    on or hangs off an earlier path component, which the 0-mark enters
+    through another point, so that earlier component would come first.
     """
     space = f.space
-    path = [curve.entry_points(f.tree, c) for c in reversed(f.chain)]
+    path = [f.tree.entry[c] for c in reversed(f.chain)]
     functionals = {}
     for d in range(1, space.dim + 1):
         for w in space.subspace_steps(d):
@@ -549,23 +550,6 @@ class CompatibilityChecker:
                 for j in range(i + 1, d):
                     if big_vals[i] * small_vals[j] != big_vals[j] * small_vals[i]:
                         return False
-        return True
-
-    def uf_ok(self, functionals: dict, flag: Flag) -> bool:
-        """Chart membership on top of compatibility: for nested pairs not
-        separated by the flag, the larger functional must not vanish
-        identically on the smaller subspace."""
-        if not self.bv_ok(functionals):
-            return False
-        for w_small, w_big, coords in self.pairs:
-            separated = any(
-                step.contains_subspace(w_small)
-                and not step.contains_subspace(w_big)
-                for step in flag.steps)
-            if separated:
-                continue
-            if not any(self._restrict(functionals, w_big, coords)):
-                return False
         return True
 
 

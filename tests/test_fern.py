@@ -1,19 +1,28 @@
 import random
+import re
 
 import pytest
 
 from ferns import curve
 from ferns import fern as fern_mod
-from ferns.curve import ProjPoint, single_component_tree
+from ferns.curve import MarkedTree, Mobius, ProjPoint, single_component_tree
 from ferns.fern import (InvalidFern, LineData, contract_fern, drinfeld_psi,
                         expand_root_product, fern_violations, graft,
                         line_data, reciprocal_data, validate_fern)
-from ferns.gf import (INF, GroupElement, LinSpace, Subspace, VSpace,
-                      field_make, group_act, group_elements)
+from ferns.gf import (INF, LinSpace, Subspace, VSpace, field_make, group_act,
+                      group_elements)
 from ferns.rand import (injective_linear_marking, random_fern,
                         random_pipeline_fern, random_remap)
+from ferns.universal import classify
 
 from conftest import space
+
+
+def with_marking(tree, marking, extra=None):
+    """The tree's components and nodes with another marking, and its
+    extra points unless others are given."""
+    return MarkedTree(tree.field, tree.components, tree.nodes, marking,
+                      tree.extra if extra is None else extra)
 
 
 def linear_marking_tree(fld, sp, images):
@@ -66,7 +75,7 @@ def singular_q2():
 
 def test_smooth_fern_validates(smooth_f4):
     assert smooth_f4.is_smooth()
-    assert smooth_f4.flag.length == 1
+    assert len(smooth_f4.flag.steps) - 1 == 1
 
 
 def test_validation_rejects_off_pattern_mark():
@@ -81,7 +90,7 @@ def test_validation_rejects_off_pattern_mark():
             continue
         bad = dict(tree.marking)
         bad[(1, 1)] = ("c0", cand)
-        assert fern_violations(tree.with_marking(bad), sp)
+        assert fern_violations(with_marking(tree, bad), sp)
         moved += 1
     assert moved >= 3
 
@@ -114,7 +123,7 @@ def test_validation_perturbation_rejection_random(rng):
                 continue
             bad = dict(tree.marking)
             bad[target] = (cid, rng.choice(free))
-            assert fern_violations(tree.with_marking(bad), sp), \
+            assert fern_violations(with_marking(tree, bad), sp), \
                 f"perturbation of {target} accepted"
             rejected += 1
         assert rejected >= trials * 3 // 4
@@ -177,8 +186,7 @@ def test_chain_special_points_match_subquotient(singular_q2):
     fern, w = singular_q2
     q = fern.space.q
     for i, cid in enumerate(fern.chain):
-        comp = fern.tree.component(cid)
-        specials = len(comp.marks) + len(comp.node_points)
+        specials = len(fern.tree.marks_on(cid)) + len(fern.tree.neighbors(cid))
         lo, hi = fern.flag.steps[i], fern.flag.steps[i + 1]
         assert specials == q ** (hi.dim - lo.dim) + 1
 
@@ -363,7 +371,7 @@ def test_reciprocal_smooth_is_inverse(smooth_f4):
 def test_reciprocal_vanishes_off_first_step(singular_q2):
     fern, w = singular_q2
     rd = reciprocal_data(fern)
-    assert set(rd.support()) == \
+    assert {v for v, x in rd.values.items() if x} == \
         {v for v in fern.space.vectors() if w.contains(v) and any(v)}
 
 
@@ -438,27 +446,77 @@ def test_root_product_additivity_random(rng):
 # validation from generators against the scan over all of G
 # ---------------------------------------------------------------------------
 
+def fresh_entry(tree):
+    """Every component's entry points, read with curve.entry_points and not
+    from the maps the tree keeps."""
+    return {c: curve.entry_points(tree, c) for c in tree.components}
+
+
+def scales_chain(entry, sp, chain, corr, xi):
+    """Whether the automorphism fixes every chain component and multiplies
+    by xi the coordinate that puts the entry points of the 0-mark and the
+    infinity mark at zero and infinity, tested at every entry point."""
+    scale = sp.field.scalar(xi)
+    for cid in chain:
+        if corr.components[cid] != cid:
+            return False
+        coord = Mobius.zero_infinity(entry[cid][sp.zero], entry[cid][INF])
+        for pt in entry[cid].values():
+            z = coord.apply(pt)
+            image = coord.apply(corr.maps[cid].apply(pt))
+            if z.is_infinity != image.is_infinity:
+                return False
+            if not z.is_infinity and image.x != scale * z.x:
+                return False
+    return True
+
+
 def scan_axioms(tree, sp):
-    """The violations of the scan over all of G, the chain, and every
-    translation's component permutation, each from its own search: the
-    oracle for validation from generators and for its flag."""
-    violations = fern_mod._shape_violations(tree, sp)
-    if violations:
-        return violations, None, None
-    anchored = curve.AnchoredTree(tree)
+    """The scan over all of G, each element searched as the isomorphism
+    to a copy of the tree remarked by it, on fresh entry maps: the oracle
+    for validation from generators and for its flag.
+
+    The tree must pass the mark-set and stability checks.  Returns the
+    elements (v, xi) without an automorphism, the scalars whose
+    automorphism does not scale the chain, the chain, and every
+    translation's component permutation."""
+    assert not fern_mod._shape_violations(tree, sp)
     chain = tuple(tree.path(tree.marking[sp.zero][0], tree.marking[INF][0]))
-    violations = fern_mod._scan_axioms(anchored, sp, chain)
-    if violations:
-        return violations, chain, None
-    perms = {v: fern_mod._automorphism(anchored, GroupElement(sp, v, 1))
-             .components for v in sp.vectors()}
-    return violations, chain, perms
+    entry = fresh_entry(tree)
+    missing, unscaled, perms = [], set(), {}
+    for g in group_elements(sp):
+        corr = reference_isomorphism(tree, remarked(tree, g))
+        if corr is None:
+            missing.append((g.v, g.xi))
+        elif g.xi == 1:
+            perms[g.v] = corr.components
+        elif g.v == sp.zero and not scales_chain(entry, sp, chain, corr, g.xi):
+            unscaled.add(g.xi)
+    return missing, unscaled, chain, perms
 
 
 def stabilizer_flag(sp, chain, perms):
     """Step i: the translations that fix the i-th chain component."""
     return [Subspace.from_vectors(sp.vs, list(sp.mod.rows) + [
         v for v in sp.vectors() if perms[v][cid] == cid]) for cid in chain]
+
+
+def primitive_scalar(fld):
+    """The smallest scalar index whose powers give all of F_q^*."""
+    return min(xi for xi in range(2, fld.q)
+               if len({(fld.scalar(xi) ** k).coeffs
+                       for k in range(1, fld.q)}) == fld.q - 1)
+
+
+def generators(sp):
+    """The basis translations, then for q > 2 the primitive scalar."""
+    out = [(b, 1) for b in sp.basis()]
+    if sp.q > 2:
+        out.append((sp.zero, primitive_scalar(sp.field)))
+    return out
+
+
+MISSING = re.compile(r"no marked isomorphism for \(v=.*, xi=\d+\)$")
 
 
 def perturbed_trees(f, rng):
@@ -469,7 +527,7 @@ def perturbed_trees(f, rng):
     a, b = rng.sample(labels, 2)
     swapped = dict(tree.marking)
     swapped[a], swapped[b] = swapped[b], swapped[a]
-    out = [tree, tree.with_marking(swapped)]
+    out = [tree, with_marking(tree, swapped)]
     target = rng.choice(labels)
     cid = tree.marking[target][0]
     taken = set(tree.marks_on(cid).values()) | set(tree.neighbors(cid).values())
@@ -478,18 +536,31 @@ def perturbed_trees(f, rng):
     if free:
         moved = dict(tree.marking)
         moved[target] = (cid, rng.choice(free))
-        out.append(tree.with_marking(moved))
+        out.append(with_marking(tree, moved))
     return out
 
 
 def assert_generators_match_scan(tree, sp):
-    """Same acceptance, violations, chain and flag."""
-    assert not fern_mod._shape_violations(tree, sp)
-    violations, chain, perms = scan_axioms(tree, sp)
-    accepted = fern_mod._generator_axioms(curve.AnchoredTree(tree), sp, chain)
+    """Validation accepts exactly what the scan accepts.  On a rejection
+    it names, in order, exactly the generators without an automorphism
+    in the scan, and words any other violation as a scaling failure of
+    the primitive scalar, present when the scan finds that scalar not
+    scaling the chain.  On acceptance the chain and the flag agree."""
+    missing, unscaled, chain, perms = scan_axioms(tree, sp)
+    accepted = not missing and not unscaled
+    violations = fern_violations(tree, sp)
     assert accepted != bool(violations)
-    assert fern_violations(tree, sp) == violations
     if not accepted:
+        named = [v for v in violations if MISSING.match(v)]
+        assert named == [f"no marked isomorphism for (v={v}, xi={xi})"
+                         for v, xi in generators(sp) if (v, xi) in missing]
+        scaling = [v for v in violations if not MISSING.match(v)]
+        if sp.q > 2:
+            xi0 = primitive_scalar(sp.field)
+            assert all(f"xi={xi0} " in v for v in scaling)
+            assert bool(scaling) == (xi0 in unscaled)
+        else:
+            assert not scaling
         with pytest.raises(InvalidFern) as info:
             validate_fern(tree, sp)
         assert info.value.violations == violations
@@ -549,21 +620,27 @@ def test_generators_match_scan_sweep():
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])
-def test_scaling_failure_falls_back_to_scan(p, e):
+def test_scaling_failure_names_primitive_scalar(p, e):
     sp = LinSpace.full(VSpace(field_make(p, e), 1))
+    xi0 = primitive_scalar(sp.field)
     tree = frobenius_tree(sp)
-    violations, _, _ = scan_axioms(tree, sp)
-    assert violations and all("scaling" in v for v in violations)
+    # the scan finds every automorphism, and the scalars outside F_p,
+    # xi0 among them, not scaling
+    missing, unscaled, _, _ = scan_axioms(tree, sp)
+    assert not missing and xi0 in unscaled
+    expected = [f"xi={xi0} does not act by scaling on chain component 'c0'"]
+    assert fern_violations(tree, sp) == expected
     assert not assert_generators_match_scan(tree, sp)
     # the same tree in other coordinates on its component fails the same way
     rng = random.Random(p ** e)
     for _ in range(3):
         moved = random_remap(tree, rng)
-        assert scan_axioms(moved, sp)[0] == violations
+        assert fern_violations(moved, sp) == expected
         assert not assert_generators_match_scan(moved, sp)
 
 
 def test_generator_searches_per_validation(monkeypatch):
+    # n + 1 searches for q > 2 and n for q = 2, accepted or rejected
     calls = []
     real = curve.marked_isomorphism
 
@@ -573,13 +650,47 @@ def test_generator_searches_per_validation(monkeypatch):
 
     monkeypatch.setattr(curve, "marked_isomorphism", counted)
     rng = random.Random(5)
+    rejected = 0
     for (n, p, e, m), searches in [((3, 2, 1, 1), 3), ((3, 3, 1, 1), 4),
-                                   ((2, 2, 2, 1), 3)]:
+                                   ((2, 2, 2, 1), 3), ((2, 3, 1, 1), 3)]:
         sp = LinSpace.full(VSpace(field_make(p, e, m), n))
-        f = random_fern(sp, rng)
-        calls.clear()
-        validate_fern(f.tree, sp)
-        assert len(calls) == searches
+        for _ in range(3):
+            for tree in perturbed_trees(random_fern(sp, rng), rng):
+                if fern_mod._shape_violations(tree, sp):
+                    continue
+                calls.clear()
+                violations = fern_violations(tree, sp)
+                assert len(calls) == searches
+                rejected += bool(violations)
+    assert rejected >= 8
+
+
+def test_tree_builds_each_entry_map_once(monkeypatch):
+    # validation, classification, line data and isomorphism searches all
+    # read the entry maps that each tree builds once per component
+    built = []
+    real = curve.entry_points
+
+    def counted(t, c):
+        built.append((id(t), c))
+        return real(t, c)
+
+    monkeypatch.setattr(curve, "entry_points", counted)
+    sp = space(3, 2)
+    f = random_fern(sp, random.Random(4))
+    tree = with_marking(f.tree, f.tree.marking)
+    other = random_remap(tree, random.Random(5))
+    assert len(tree.components) >= 3
+    built.clear()
+    fern = validate_fern(tree, sp)
+    classify(fern)
+    line_data(fern)
+    reciprocal_data(fern)
+    for t1, t2 in [(tree, other), (other, tree), (tree, tree)]:
+        assert curve.are_isomorphic(t1, t2) is not None
+    assert sorted(built, key=repr) == sorted(
+        [(id(tree), c) for c in tree.components]
+        + [(id(other), c) for c in other.components], key=repr)
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +700,13 @@ def test_generator_searches_per_validation(monkeypatch):
 def remarked(tree, g):
     """The same tree with marking w -> position of (g.w); infinity is fixed."""
     marking = {w: tree.marking[group_act(g, w)] for w in tree.marking}
-    return tree.with_marking(marking, extra={})
+    return with_marking(tree, marking, extra={})
 
 
 def reference_isomorphism(t1, t2):
     """The label-preserving isomorphism found from fresh entry maps of both
-    trees, anchors sorted per call: the search before per-tree data."""
-    entry1, entry2 = curve._entry_maps(t1), curve._entry_maps(t2)
+    trees, anchors sorted per call: the search without per-tree data."""
+    entry1, entry2 = fresh_entry(t1), fresh_entry(t2)
     comp_map, mobius = {}, {}
     for c in t1.components:
         by_point = {}
@@ -630,10 +741,9 @@ def assert_automorphisms_match_reference(tree, sp):
     """For every g in G, the automorphism found on the tree's own data is
     the isomorphism to the copy remarked by g: the same component map and
     equal maps, or None on both sides.  Returns how many were None."""
-    anchored = curve.AnchoredTree(tree)
     missing = 0
     for g in group_elements(sp):
-        found = fern_mod._automorphism(anchored, g)
+        found = fern_mod._automorphism(tree, g)
         expected = reference_isomorphism(tree, remarked(tree, g))
         assert (found is None) == (expected is None), (g.v, g.xi)
         if found is None:

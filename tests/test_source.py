@@ -21,14 +21,17 @@ UNCALLED_ALLOWED = {}
 
 
 def test_public_names_have_callers():
-    # a public top-level function or class must be named somewhere else in
-    # the package, or be looked up by name from the benchmark's tracer
+    # a public top-level function or class, and a public method or property
+    # of a package class, must be named somewhere else in the package, or
+    # be looked up by name from the benchmark's tracer
     defined, named = set(), set()
     for path in SOURCES:
         tree = ast.parse(path.read_text())
-        defined.update(node.name for node in tree.body
-                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                       and not node.name.startswith("_"))
+        for top in tree.body:
+            members = top.body if isinstance(top, ast.ClassDef) else []
+            defined.update(node.name for node in [top, *members]
+                           if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                           and not node.name.startswith("_"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)

@@ -170,7 +170,7 @@ def test_chart_accepts_generic_extension_point():
     ch = Chart(space(2, 2, 2))
     omega = ch.field.element((0, 1))
     ok, stratum = chart_contains(ch, (omega,))
-    assert ok and stratum.length == 1  # trivial flag: a smooth point
+    assert ok and len(stratum.steps) == 2  # trivial flag: a smooth point
 
 
 def test_chart_point_counts():
@@ -650,6 +650,23 @@ def test_classify_singular_kernels():
     assert any(point.value(w, v) for v in w.elements())
 
 
+def uf_ok(checker, functionals, flag):
+    """Chart membership on top of compatibility: for nested pairs not
+    separated by the flag, the larger functional must not vanish
+    identically on the smaller subspace."""
+    if not checker.bv_ok(functionals):
+        return False
+    combine = checker.space.field.combine
+    for w_small, w_big, coords in checker.pairs:
+        separated = any(step.contains_subspace(w_small)
+                        and not step.contains_subspace(w_big)
+                        for step in flag.steps)
+        if not separated and not any(combine(c, functionals[w_big])
+                                     for c in coords):
+            return False
+    return True
+
+
 def test_bv_member_accepts_classified_ferns(rng):
     for _ in range(10):
         fern, _ = random_pipeline_fern(space(2, 2, 2), rng)
@@ -658,7 +675,7 @@ def test_bv_member_accepts_classified_ferns(rng):
         checker = compatibility_checker(fern.space)
         point = classify(fern)
         assert checker.bv_ok(point.functionals)
-        assert checker.uf_ok(point.functionals, _completion(fern))
+        assert uf_ok(checker, point.functionals, _completion(fern))
 
 
 def _completion(fern):
@@ -746,12 +763,12 @@ def test_uf_member_respects_flag_pairs():
     checker = compatibility_checker(sp)
     point = classify(fb)
     assert checker.bv_ok(point.functionals)
-    assert checker.uf_ok(point.functionals, fb.flag)
+    assert uf_ok(checker, point.functionals, fb.flag)
     # the degenerate point lies outside the chart of the other lines' flags
     from ferns.gf import Flag
     for flag in complete_flags(sp.vs):
         if flag.steps[1] != fb.flag.steps[1]:
-            assert not checker.uf_ok(point.functionals, flag)
+            assert not uf_ok(checker, point.functionals, flag)
 
 
 def test_functional_candidates_count():
