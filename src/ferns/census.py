@@ -3,15 +3,16 @@ compactification, each with an independent brute-force oracle.
 
 The stratum-sum count multiplies, over the steps of every flag, the number
 of injective-linear classes on the successive subquotients.  The oracle
-enumerates raw functional tuples and filters by the compatibility
-condition, so the two computations share nothing but the field tables.
+counts raw functional tuples that meet the compatibility condition: a
+depth-first search fixes the functionals from the largest subspace down
+and drops a partial tuple at the first nested pair it fails.  So the two
+computations share nothing but the field tables.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -121,11 +122,12 @@ def bv_count_strata(n: int, q: int, m: int) -> CountReport:
     """Stratum sum: over every flag, the product of subquotient counts."""
     fld = _field_for(q, m)
     space = VSpace(fld, n)
+    omega = [None] + [omega_count(d, q, m) for d in range(1, n + 1)]
     strata = []
     for flag in iter_flags(space):
         count = 1
         for lo, hi in zip(flag.steps, flag.steps[1:]):
-            count *= omega_count(hi.dim - lo.dim, q, m)
+            count *= omega[hi.dim - lo.dim]
         strata.append((flag.key(), count))
     strata.sort()  # by key: keys are distinct
     return CountReport(n, q, m, tuple(strata), sum(c for _, c in strata), None)
@@ -150,17 +152,36 @@ def _check_budget(n: int, q: int, m: int, budget: int) -> None:
 
 
 def bv_count_bruteforce(n: int, q: int, m: int, budget: int = 10 ** 6) -> int:
-    """Oracle: enumerate all functional tuples, count the compatible ones."""
+    """Oracle: count the compatible functional tuples by a depth-first
+    search that fixes one subspace's functional at a time, the largest
+    subspace first (``checker.subs`` reversed).
+
+    Fixing w checks the plane pairs whose small side is w, the only pairs
+    whose other side is already fixed.  A candidate that fails one is
+    dropped with every tuple below it, and each compatible tuple is
+    reached as one leaf.  ``budget`` bounds the whole tuple space, as
+    :func:`_check_budget` measures it.
+    """
     _check_budget(n, q, m, budget)
     space = LinSpace.full(VSpace(_field_for(q, m), n))
     checker = compatibility_checker(space)
-    subs = checker.subs
-    candidates = [functional_candidates(space, w) for w in subs]
-    count = 0
-    for combo in itertools.product(*candidates):
-        if checker.bv_ok(dict(zip(subs, combo))):
-            count += 1
-    return count
+    order = checker.subs[::-1]
+    candidates = [functional_candidates(space, w) for w in order]
+    checks = [[pair for pair in checker.plane_pairs if pair[0] == w]
+              for w in order]
+    functionals = {}
+
+    def count(k: int) -> int:
+        if k == len(order):
+            return 1
+        total = 0
+        for values in candidates[k]:
+            functionals[order[k]] = values
+            if not checks[k] or checker.bv_ok(functionals, checks[k]):
+                total += count(k + 1)
+        return total
+
+    return count(0)
 
 
 def census(n: int, q: int, m: int, with_oracle: bool = True,

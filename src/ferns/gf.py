@@ -636,16 +636,24 @@ def _chains(space: VSpace, max_step: int) -> Iterator[Flag]:
     ``max_step``, one at a time, in depth-first order over the lattice.
 
     The containment table is built once per call and lives as long as the
-    generator: for every subspace of the lattice (``all_subspaces``
-    order), the subspaces of the lattice, in that order, that strictly
-    contain it with at most ``max_step`` more dimensions.  The search
+    generator: for every subspace w of the lattice (``all_subspaces``
+    order, which is by dimension), the subspaces u of dimension
+    ``w.dim + 1`` to ``w.dim + max_step``, in that order, that contain it.
+    u contains w when every echelon row of w is a member of u, read from
+    a member set made once per subspace for this call.  The search
     extends a chain from the zero space by each entry of its top's row in
     turn and yields it on reaching the whole space.
     """
     lattice = all_subspaces(space)
-    above = [[j for j, u in enumerate(lattice)
-              if 0 < u.dim - w.dim <= max_step and u.contains_subspace(w)]
-             for w in lattice]
+    members = [frozenset(u.elements()) for u in lattice]
+    start = [0] * (space.n + 2)  # start[d]: first index of dimension >= d
+    for d in range(space.n + 1):
+        start[d + 1] = start[d] + gaussian_binomial(space.n, d, space.q)
+    above = []
+    for w in lattice:
+        top = min(w.dim + max_step, space.n)
+        above.append([j for j in range(start[w.dim + 1], start[top + 1])
+                      if all(r in members[j] for r in w.rows)])
     full = len(lattice) - 1  # the only subspace of dimension n comes last
     stack = [[0]]
     while stack:

@@ -52,7 +52,10 @@ def remap_components(tree: MarkedTree, maps) -> MarkedTree:
 
 
 def random_remap(tree: MarkedTree, rng: random.Random) -> MarkedTree:
-    maps = {c: random_mobius(tree.field, rng) for c in tree.components}
+    # one draw per component in a fixed order: the iteration order of the
+    # frozenset of component ids follows their string hashes
+    maps = {c: random_mobius(tree.field, rng)
+            for c in sorted(tree.components, key=curve._cid_key)}
     return remap_components(tree, maps)
 
 
@@ -88,7 +91,8 @@ def stabilize_at_random(tree: MarkedTree, label, rng: random.Random) -> MarkedTr
         target = rng.choice(sorted(tree.marking, key=repr))
         return curve.stabilize(tree, label, ("mark", target))
     if kind == "node":
-        nd = rng.choice(sorted(map(tuple, tree.nodes), key=repr))
+        # a node is a frozenset of its two ends, so sort the ends first
+        nd = rng.choice(sorted(tree.nodes, key=lambda n: sorted(map(repr, n))))
         (c1, _), (c2, _) = nd
         return curve.stabilize(tree, label, ("node", c1, c2))
     cid = rng.choice(sorted(tree.components, key=repr))

@@ -538,11 +538,15 @@ class CompatibilityChecker:
         combine, big_vals = self.space.field.combine, functionals[w_big]
         return [combine(c, big_vals) for c in coords]
 
-    def bv_ok(self, functionals: dict) -> bool:
+    def bv_ok(self, functionals: dict, pairs=None) -> bool:
         """The compatibility condition: for every pair of nested subspaces
         the larger functional restricts to a (possibly zero) multiple of
-        the smaller one."""
-        for w_small, w_big, coords in self.plane_pairs:
+        the smaller one.  Checks the given entries of ``plane_pairs``, or
+        all of them when ``pairs`` is None; ``functionals`` needs a value
+        only on the subspaces those pairs name."""
+        if pairs is None:
+            pairs = self.plane_pairs
+        for w_small, w_big, coords in pairs:
             small_vals = functionals[w_small]
             d = len(small_vals)
             big_vals = self._restrict(functionals, w_big, coords)

@@ -1,5 +1,9 @@
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -316,6 +320,39 @@ def test_random_fern_validated_once(monkeypatch, rng):
             assert validated[-1] is f.tree
             assert real_validate(f.tree, sp).flag == f.flag
     assert 6 <= grafted < 20
+
+
+SEEDED_PROBE = """
+import hashlib, random
+from ferns.gf import LinSpace, VSpace, field_make
+from ferns.jsonio import dumps, fern_to_json
+from ferns.rand import random_fern, random_stable_tree
+for_ferns, for_trees = hashlib.md5(), hashlib.md5()
+for p, e, m in [(3, 1, 1), (2, 1, 2)]:  # F_3^3 over GF(3), F_2^3 over GF(4)
+    sp = LinSpace.full(VSpace(field_make(p, e, m), 3))
+    for seed in range(2):
+        f = random_fern(sp, random.Random(seed))
+        for_ferns.update(dumps(fern_to_json(f)).encode())
+for seed in range(50):
+    t = random_stable_tree(field_make(2, 1, 2), range(1, 10), random.Random(seed))
+    for_trees.update(repr(t.canonical_key()).encode())
+print(for_ferns.hexdigest(), for_trees.hexdigest())
+"""
+
+
+def test_seeded_builds_do_not_depend_on_the_hash_seed():
+    # component ids hold strings, and the iteration order of a set of them
+    # follows their hashes, which change from process to process unless
+    # PYTHONHASHSEED fixes them; a seeded build must not read that order
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        run = subprocess.run([sys.executable, "-c", SEEDED_PROBE],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        outputs.add(run.stdout)
+    assert len(outputs) == 1, outputs
 
 
 # ---------------------------------------------------------------------------
