@@ -6,7 +6,9 @@ records that pair a point on one component with a point on another.  Marks
 are labels placed at points.  This representation makes the classical tree
 surgeries coordinate transports:
 
-* ``contract``        forget marks and collapse unstable components,
+* ``contract``        forget marks and collapse unstable components, read
+                      off the entry maps, so that it does not depend on
+                      the order in which marks are forgotten,
 * ``stabilize``       insert a new mark, sprouting a component if needed,
 * ``contract_to_component``  squash everything onto one component,
 * ``entry_points``    where each mark lands on one component when all the
@@ -112,10 +114,6 @@ class Mobius:
 
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
-
-    @classmethod
-    def identity(cls, fld: ExtField) -> "Mobius":
-        return cls(fld.one, fld.zero, fld.zero, fld.one)
 
     @classmethod
     def zero_infinity(cls, p0: ProjPoint, pinf: ProjPoint) -> "Mobius":
@@ -355,144 +353,100 @@ def single_component_tree(fld: ExtField, marking: Dict[object, ProjPoint],
 # Contraction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContractionResult:
-    """A contracted tree plus where every original component went.
-
-    ``component_image[c]`` is ``(c, None)`` when c survives with its
-    coordinate untouched, else ``(d, p)`` with d a surviving component and
-    p the point of d that c collapsed onto.
-    """
-
-    tree: MarkedTree
-    component_image: dict
-
-
-def contract(t: MarkedTree, keep: Iterable) -> ContractionResult:
+def contract(t: MarkedTree, keep: Iterable) -> MarkedTree:
     """Contract a stable tree with respect to the sub-markset ``keep``.
 
-    Components that drop below three special points are collapsed onto a
-    neighbor through their remaining node, transporting every mark (the
-    forgotten ones become non-structural ``extra`` points).  Coordinates of
-    surviving components never change, so the components, nodes and
-    marking of the output are canonical and independent of the collapse
-    order.  The ``extra`` points are not: a forgotten mark whose component
-    collapses into a node can end up on either side of that node,
-    depending on the order in which marks are forgotten.
+    Everything is read off the entry maps ``t.entry``.  A component
+    survives when the kept marks enter it through three or more points,
+    and keeps its coordinate.  A kept mark sits on the survivor where no
+    other kept mark shares its entry point, and two survivors meet where
+    their groups of kept marks (the kept marks entering through one point)
+    are complementary.  Every other point, a forgotten mark (which becomes
+    a non-structural ``extra`` point) or an ``extra`` point of ``t``,
+    lands on the nearest survivor at the neighbour point toward its
+    component; one that lands on a node is recorded on the node end whose
+    component has the smaller ``_cid_key``.  So the result does not depend
+    on the order in which marks are forgotten.
     """
-    keep = set(keep)
+    keep = frozenset(keep)
     if len(keep) < 3:
         raise ValueError("contraction needs at least 3 surviving marks")
     missing = keep - set(t.marking)
     if missing:
         raise ValueError(f"marks not on the tree: {sorted(map(repr, missing))}")
 
-    adj = {c: dict(t.neighbors(c)) for c in t.components}
-    structural = {lbl: pos for lbl, pos in t.marking.items() if lbl in keep}
-    loose = {lbl: pos for lbl, pos in t.marking.items() if lbl not in keep}
-    loose.update(t.extra)
-    marks_per = {c: set() for c in t.components}
-    for lbl, (cid, _) in structural.items():
-        marks_per[cid].add(lbl)
-    collapsed_to: Dict[object, End] = {}
+    survivors, sits, ends = set(), {}, {}
+    for c, entry in t.entry.items():
+        by_point: Dict[ProjPoint, set] = {}
+        for lbl in keep:
+            by_point.setdefault(entry[lbl], set()).add(lbl)
+        if len(by_point) < 3:
+            continue
+        survivors.add(c)
+        for p, g in by_point.items():
+            if len(g) == 1:
+                (lbl,) = g
+                sits[lbl] = (c, p)
+            else:
+                ends[frozenset(g)] = (c, p)
+    nodes, smaller_end = set(), {}
+    for g, (c, p) in ends.items():
+        d, q = ends[keep - g]
+        nodes.add(node(c, p, d, q))
+        if _cid_key(d) < _cid_key(c):
+            smaller_end[(c, p)] = (d, q)
 
-    def special_count(c):
-        return len(marks_per[c]) + len(adj[c])
+    # the components off the survivors fall into branches, and each branch
+    # lands where it meets a survivor (two survivors meet it at a node)
+    landing: Dict[object, End] = {}
+    for s in survivors:
+        for nb, p in t.neighbors(s).items():
+            stack = [nb]
+            while stack:
+                c = stack.pop()
+                if c not in survivors and c not in landing:
+                    landing[c] = (s, p)
+                    stack.extend(t.neighbors(c))
 
-    alive = set(t.components)
-    changed = True
-    while changed and len(alive) > 1:
-        changed = False
-        for c in sorted(alive, key=_cid_key):
-            if len(alive) == 1:
-                break
-            if special_count(c) >= 3:
-                continue
-            neighbors = adj[c]
-            if len(neighbors) == 1:
-                (nb, _), = neighbors.items()
-                att = adj[nb].pop(c)
-                target: End = (nb, att)
-            elif len(neighbors) == 2:
-                (n1, _), (n2, _) = sorted(neighbors.items(), key=lambda kv: _cid_key(kv[0]))
-                p1 = adj[n1].pop(c)
-                p2 = adj[n2].pop(c)
-                adj[n1][n2] = p1
-                adj[n2][n1] = p2
-                target = (n1, p1)
-            else:  # pragma: no cover - unreachable from stable inputs
-                raise AssertionError("collapsing a component with 3+ nodes")
-            for lbl, (cid, pt) in list(structural.items()):
-                if cid == c:
-                    structural[lbl] = target
-            for lbl, (cid, pt) in list(loose.items()):
-                if cid == c:
-                    loose[lbl] = target
-            for lbl in marks_per[c]:
-                marks_per[target[0]].add(lbl)
-            collapsed_to[c] = target
-            alive.remove(c)
-            del adj[c], marks_per[c]
-            changed = True
+    def image(end: End) -> End:
+        if end[0] not in survivors:
+            end = landing[end[0]]
+        return smaller_end.get(end, end)
 
-    # resolve collapse chains onto surviving components
-    def resolve(end: End) -> End:
-        cid, pt = end
-        while cid not in alive:
-            cid, pt = collapsed_to[cid]
-        return (cid, pt)
-
-    component_image = {}
-    for c in t.components:
-        if c in alive:
-            component_image[c] = (c, None)
-        else:
-            component_image[c] = resolve(collapsed_to[c])
-    structural = {lbl: resolve(pos) for lbl, pos in structural.items()}
-    loose = {lbl: resolve(pos) for lbl, pos in loose.items()}
-
-    nodes = set()
-    for c in alive:
-        for d, p in adj[c].items():
-            nodes.add(node(c, p, d, adj[d][c]))
-    result = MarkedTree(t.field, alive, nodes, structural, loose)
+    marking = {lbl: sits[lbl] for lbl in t.marking if lbl in keep}
+    extra = {lbl: image(pos) for lbl, pos in t.marking.items()
+             if lbl not in keep}
+    extra.update((lbl, image(pos)) for lbl, pos in t.extra.items())
+    result = MarkedTree(t.field, survivors, nodes, marking, extra)
     report = result.validate()
     if not report.ok:  # pragma: no cover - guarded by the stability precondition
         raise AssertionError(f"contraction produced an unstable tree: {report}")
-    return ContractionResult(result, component_image)
+    return result
 
 
-def contract_to_component(t: MarkedTree, i) -> ContractionResult:
+def contract_to_component(t: MarkedTree, i) -> MarkedTree:
     """Collapse every component except the one carrying mark i.
 
     All marks are re-marked on the surviving projective line; marks from
     collapsed branches land at the branch attachment point, so the result
     may fail injectivity and is not validated.  The package reads these
-    positions through :func:`entry_points` instead; this function stays
-    as the tree-building form that ``tests/test_curve.py`` checks and
-    ``perfbench/spans.py`` traces by name.
+    positions through :func:`entry_points` instead; this path-based form
+    stays as their independent reference, which ``tests/test_curve.py``
+    checks and ``perfbench/spans.py`` traces by name.
     """
     if i not in t.marking:
         raise ValueError(f"mark {i!r} is not on the tree")
     home = t.marking[i][0]
-    component_image = {}
-    for c in t.components:
-        if c == home:
-            component_image[c] = (c, None)
-        else:
-            route = t.path(c, home)
-            last_before = route[-2]  # neighbor of home on the route
-            component_image[c] = (home, t.neighbors(home)[last_before])
+    collapse_pt = {c: t.neighbors(home)[t.path(c, home)[-2]]
+                   for c in t.components if c != home}
 
     def image(end: End) -> End:
         cid, pt = end
-        target, collapse_pt = component_image[cid]
-        return (target, pt if collapse_pt is None else collapse_pt)
+        return (home, collapse_pt.get(cid, pt))
 
     marking = {lbl: image(pos) for lbl, pos in t.marking.items()}
     extra = {lbl: image(pos) for lbl, pos in t.extra.items()}
-    result = MarkedTree(t.field, [home], [], marking, extra)
-    return ContractionResult(result, component_image)
+    return MarkedTree(t.field, [home], [], marking, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +529,6 @@ class Correspondence:
 
     components: dict  # cid of t1 -> cid of t2
     maps: dict        # cid of t1 -> Mobius (t1 coordinates to t2 coordinates)
-
-    def apply(self, cid, pt: ProjPoint) -> End:
-        return (self.components[cid], self.maps[cid].apply(pt))
 
 
 def entry_points(t: MarkedTree, c) -> Dict[object, ProjPoint]:

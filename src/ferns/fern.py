@@ -219,9 +219,7 @@ def contract_fern(f: Fern, w: Subspace) -> Fern:
     if w.dim == space.mod.dim:
         raise ValueError("contraction needs a nonzero subspace")
     keep = [v for v in space.vectors() if w.contains(v)] + [INF]
-    result = curve.contract(f.tree, keep)
-    sub_space = space.subquotient(w)
-    return validate_fern(result.tree, sub_space)
+    return validate_fern(curve.contract(f.tree, keep), space.subquotient(w))
 
 
 def graft(sub_fern: Fern, quot_fern: Fern, complement: Subspace) -> Fern:

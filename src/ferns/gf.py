@@ -232,10 +232,6 @@ class FieldElement:
         f = self.field
         return f.exp[f.units - self.lg]
 
-    def packed(self) -> int:
-        """Integer encoding sum(c_i * p^i); defines the canonical element order."""
-        return self.pk
-
     def __repr__(self):
         return f"FieldElement({self.field.describe()}, {list(self.coeffs)})"
 
@@ -728,8 +724,6 @@ class LinSpace:
         self._coords: dict = {}
         self._subquotients: dict = {}
         self._steps: dict = {}  # d -> subspace_steps(d)
-        #: universal.compatibility_checker's checker for this space, once built
-        self.checker = None
 
     @classmethod
     def full(cls, vs: VSpace) -> "LinSpace":

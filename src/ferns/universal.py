@@ -558,10 +558,8 @@ class CompatibilityChecker:
 
 
 def compatibility_checker(space: LinSpace) -> CompatibilityChecker:
-    """The checker of a space, built on first use and kept on the space."""
-    if space.checker is None:
-        space.checker = CompatibilityChecker(space)
-    return space.checker
+    """The checker of a space."""
+    return CompatibilityChecker(space)
 
 
 def functional_candidates(space: LinSpace, w: Subspace) -> List[tuple]:

@@ -6,8 +6,12 @@ import pytest
 from ferns.curve import (DegenerateInput, MarkedTree, Mobius, ProjPoint,
                          are_isomorphic, contract, contract_to_component,
                          node, single_component_tree, stabilize)
+from ferns.fern import INF, contract_fern
 from ferns.gf import field_make
-from ferns.rand import random_mobius, random_remap, random_stable_tree
+from ferns.rand import (random_fern, random_mobius, random_remap,
+                        random_stable_tree)
+
+from conftest import reference_contract, smaller_cid_ends, space
 
 
 K = field_make(5)
@@ -194,20 +198,19 @@ def test_external_edges_lower_bound(rng):
 def test_contract_stable_input_is_isomorphic_identity():
     t = two_component_tree()
     result = contract(t, {1, 2, 3, 4})
-    corr = are_isomorphic(result.tree, t)
+    corr = are_isomorphic(result, t)
     assert corr is not None and all(c == d for c, d in corr.components.items())
-    assert all(image == (c, None) for c, image in result.component_image.items())
+    assert result == t
 
 
 def test_contract_collapses_unstable_component():
     t = two_component_tree()
     result = contract(t, {1, 2, 3})
-    assert result.tree.components == frozenset({"A"})
+    assert result.components == frozenset({"A"})
     # the kept mark from B lands at the node position on A
-    assert result.tree.marking[3] == ("A", pt(0))
+    assert result.marking[3] == ("A", pt(0))
     # the forgotten mark rides along as a non-structural point
-    assert result.tree.extra[4] == ("A", pt(0))
-    assert result.component_image["B"] == ("A", pt(0))
+    assert result.extra[4] == ("A", pt(0))
 
 
 def test_contract_requires_three_marks():
@@ -215,10 +218,12 @@ def test_contract_requires_three_marks():
         contract(two_component_tree(), {1, 2})
 
 
-def test_contract_order_independence(rng):
-    # components, nodes and marks do not depend on the collapse order; with
-    # three marks kept the forgotten ones (``extra``) do not either, but
-    # once several components survive one can land on either side of a node
+@pytest.mark.parametrize("seed", [0, 2])
+def test_contract_order_independence(seed):
+    # forgetting marks one at a time, in any order, gives the direct
+    # contraction, forgotten marks (``extra``) included: a forgotten mark
+    # that lands on a node between survivors takes one canonical end
+    rng = random.Random(seed)
     fld = field_make(2, 1, 2)
     several = 0
     for _ in range(60):
@@ -226,7 +231,7 @@ def test_contract_order_independence(rng):
         t = random_stable_tree(fld, labels, rng)
         keep = rng.sample(labels, rng.randint(3, len(labels) - 1))
         forget = [l for l in labels if l not in keep]
-        direct = contract(t, keep).tree
+        direct = contract(t, keep)
         several += len(direct.components) > 1
         for _ in range(2):
             order = forget[:]
@@ -234,12 +239,8 @@ def test_contract_order_independence(rng):
             stepwise, remaining = t, set(labels)
             for lbl in order:
                 remaining.discard(lbl)
-                stepwise = contract(stepwise, remaining).tree
-            assert stepwise.components == direct.components
-            assert stepwise.nodes == direct.nodes
-            assert stepwise.marking == direct.marking
-            if len(keep) == 3:
-                assert stepwise == direct
+                stepwise = contract(stepwise, remaining)
+            assert stepwise == direct
     assert several >= 15
 
 
@@ -248,9 +249,52 @@ def test_contract_idempotent(rng):
     for _ in range(10):
         t = random_stable_tree(fld, range(1, 7), rng)
         keep = {1, 2, 3}
-        once = contract(t, keep).tree
-        twice = contract(once, keep).tree
+        once = contract(t, keep)
+        twice = contract(once, keep)
         assert are_isomorphic(once, twice) is not None
+
+
+def contract_oracle(trees, seed):
+    """Random stable trees over GF(2), GF(3), GF(4) and GF(8) with 5 to 10
+    marks, each contracted to a random ``keep`` directly and by the
+    reference collapse loop, and the result, which carries the forgotten
+    marks as extra points, once more to a part of ``keep``."""
+    rng = random.Random(seed)
+    for fld in (field_make(2), field_make(3), field_make(2, 1, 2),
+                field_make(2, 1, 3)):
+        for _ in range(trees):
+            labels = list(range(1, rng.randint(6, 11)))
+            t = random_stable_tree(fld, labels, rng)
+            for size in (rng.randint(4, len(labels) - 1), 3):
+                keep = rng.sample(sorted(t.marking), size)
+                expected = smaller_cid_ends(reference_contract(t, keep))
+                t = contract(t, keep)
+                assert t == expected
+
+
+def fern_contract_oracle(ferns, seed):
+    """Every proper-step contraction of random ferns on F_2^3, F_3^3,
+    F_2^3 over GF(4) and F_2^4, against the reference collapse loop."""
+    rng = random.Random(seed)
+    for sp in (space(3, 2), space(3, 3), space(3, 2, 2), space(4, 2)):
+        for _ in range(ferns):
+            f = random_fern(sp, rng)
+            for w in sp.proper_steps():
+                keep = [v for v in sp.vectors() if w.contains(v)] + [INF]
+                expected = smaller_cid_ends(reference_contract(f.tree, keep))
+                assert contract(f.tree, keep) == expected
+                assert contract_fern(f, w).tree == expected
+
+
+def test_contract_matches_collapse_reference_quick():
+    contract_oracle(60, seed=5)
+    fern_contract_oracle(1, seed=5)
+
+
+@pytest.mark.slow
+def test_contract_matches_collapse_reference_sweep():
+    contract_oracle(1500, seed=6)
+    fern_contract_oracle(10, seed=6)
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +303,11 @@ def test_contract_idempotent(rng):
 
 def test_contract_to_component_smooth_identity():
     t = single_component_tree(K, {1: ZERO, 2: ONE, 3: INFPT})
-    result = contract_to_component(t, 1)
-    assert result.tree == t
+    assert contract_to_component(t, 1) == t
 
 
 def test_contract_to_component_collapses_branches():
-    result = contract_to_component(two_component_tree(), 1)
-    m = result.tree.marking
+    m = contract_to_component(two_component_tree(), 1).marking
     assert m[1] == ("A", pt(1)) and m[2] == ("A", pt(2))
     assert m[3] == m[4] == ("A", pt(0))  # both land at the node image
 
@@ -274,13 +316,13 @@ def test_contract_to_component_agrees_with_triple_contraction(rng):
     fld = field_make(2, 1, 3)
     for _ in range(15):
         t = random_stable_tree(fld, range(1, 7), rng)
-        squashed = contract_to_component(t, 1).tree
+        squashed = contract_to_component(t, 1)
         for j in range(2, 7):
             for k in range(j + 1, 7):
                 pos = [squashed.marking[i][1] for i in (1, j, k)]
                 if len(set(pos)) < 3:
                     continue
-                tri = contract(t, {1, j, k}).tree
+                tri = contract(t, {1, j, k})
                 move = between_triples(
                     tuple(pos), tuple(tri.marking[i][1] for i in (1, j, k)))
                 for lbl in t.marking:
@@ -301,7 +343,7 @@ def test_stabilize_smooth_point():
     t = two_component_tree()
     out = stabilize(t, 5, ("smooth", "A", pt(3)))
     assert out.validate().ok and len(out.components) == 2
-    assert contract(out, {1, 2, 3, 4}).tree.marking.keys() == t.marking.keys()
+    assert contract(out, {1, 2, 3, 4}).marking.keys() == t.marking.keys()
 
 
 def test_stabilize_on_mark_sprouts_component():
@@ -351,7 +393,7 @@ def test_stabilize_contract_roundtrip(rng):
             position = ("node", nd[0][0], nd[1][0])
         grown = stabilize(t, 99, position)
         assert grown.validate().ok
-        back = contract(grown, set(labels)).tree
+        back = contract(grown, set(labels))
         assert are_isomorphic(back, t) is not None
 
 
@@ -372,7 +414,8 @@ def test_isomorphism_found_under_relabeling_and_rescaling(rng):
         corr = are_isomorphic(t, renamed)
         assert corr is not None
         for lbl, (cid, p) in t.marking.items():
-            assert corr.apply(cid, p) == renamed.marking[lbl]
+            assert (corr.components[cid], corr.maps[cid].apply(p)) \
+                == renamed.marking[lbl]
 
 
 def test_isomorphism_absent_after_cross_ratio_change():
@@ -402,5 +445,6 @@ def test_isomorphism_is_unique_correspondence(rng):
     assert corr is not None
     for nd in t.nodes:
         (c1, p1), (c2, p2) = tuple(nd)
-        image = node(*corr.apply(c1, p1), *corr.apply(c2, p2))
+        image = node(corr.components[c1], corr.maps[c1].apply(p1),
+                     corr.components[c2], corr.maps[c2].apply(p2))
         assert image in other.nodes

@@ -326,17 +326,24 @@ SEEDED_PROBE = """
 import hashlib, random
 from ferns.gf import LinSpace, VSpace, field_make
 from ferns.jsonio import dumps, fern_to_json
+from ferns.curve import contract
 from ferns.rand import random_fern, random_stable_tree
 for_ferns, for_trees = hashlib.md5(), hashlib.md5()
+for_contractions = hashlib.md5()
 for p, e, m in [(3, 1, 1), (2, 1, 2)]:  # F_3^3 over GF(3), F_2^3 over GF(4)
     sp = LinSpace.full(VSpace(field_make(p, e, m), 3))
     for seed in range(2):
         f = random_fern(sp, random.Random(seed))
         for_ferns.update(dumps(fern_to_json(f)).encode())
 for seed in range(50):
-    t = random_stable_tree(field_make(2, 1, 2), range(1, 10), random.Random(seed))
+    rng = random.Random(seed)
+    t = random_stable_tree(field_make(2, 1, 2), range(1, 10), rng)
     for_trees.update(repr(t.canonical_key()).encode())
-print(for_ferns.hexdigest(), for_trees.hexdigest())
+    c = contract(t, rng.sample(range(1, 10), rng.randint(3, 8)))
+    for_contractions.update(
+        repr((c.canonical_key(), list(c.marking), list(c.extra))).encode())
+print(for_ferns.hexdigest(), for_trees.hexdigest(),
+      for_contractions.hexdigest())
 """
 
 

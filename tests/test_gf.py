@@ -200,7 +200,7 @@ def test_tables_match_polynomial_walk(params):
 def test_element_json_identity_order():
     fld = field_make(3, 1, 2)
     for k in range(fld.order):
-        assert fld.from_int(k).packed() == k
+        assert fld.from_int(k).pk == k
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from ferns.universal import (Chart, ChartPoint, ClassPoint, PointEquations,
                              q_value, round_trip, section_assignment,
                              sigma_indices)
 
-from conftest import space
+from conftest import reference_contract, space
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +790,7 @@ def reference_line_values(tree, sp, origin, pole):
     """Line values read off a built contraction: every component squashed
     onto the pole's, origin at zero, pole at infinity, first other mark at
     one."""
-    squashed = curve.contract_to_component(tree, pole).tree
+    squashed = curve.contract_to_component(tree, pole)
     pos = {lbl: squashed.marking[lbl][1] for lbl in list(sp.vectors()) + [INF]}
     anchor = next(v for v in sp.vectors()
                   if pos[v] not in (pos[origin], pos[pole]))
@@ -801,7 +801,8 @@ def reference_line_values(tree, sp, origin, pole):
 
 def reference_classify(f):
     """For each nonzero W: contract the fern to the marks of W and
-    infinity, then read the line values of the contraction."""
+    infinity by the collapse loop, then read the line values of the
+    contraction; no entry map is read."""
     sp = f.space
     functionals = {}
     for d in range(1, sp.dim + 1):
@@ -809,7 +810,7 @@ def reference_classify(f):
             tree = f.tree
             if w != sp.sub:
                 keep = [v for v in sp.vectors() if w.contains(v)] + [INF]
-                tree = curve.contract(f.tree, keep).tree
+                tree = reference_contract(f.tree, keep)
             sub = sp.subquotient(w)
             values = reference_line_values(tree, sub, sub.zero, INF)
             functionals[w] = universal.canonical_functional(
