@@ -16,7 +16,11 @@ surgeries coordinate transports:
                       building a contraction,
 * ``marked_isomorphism``  find the unique isomorphism that relabels the
                       marks by a given bijection (an automorphism when
-                      no second tree is given),
+                      no second tree is given): one scan places a root
+                      component, and a walk over the tree places the
+                      rest, each neighbour at the image of its node point,
+* ``Mobius.from_standard``  the one three-point construction, sending
+                      (0:1), (1:1), (1:0) to three given points,
 * ``are_isomorphic``  the label-preserving case between two trees.
 
 Trees are immutable; every operation returns new values.  Each tree builds
@@ -124,13 +128,22 @@ class Mobius:
         return cls(p0.y, -p0.x, pinf.y, -pinf.x)
 
     @classmethod
+    def from_standard(cls, p0: ProjPoint, p1: ProjPoint, pinf: ProjPoint) -> "Mobius":
+        """The unique map with (0:1) -> p0, (1:1) -> p1, (1:0) -> pinf.
+
+        Its columns are multiples of pinf and p0 whose sum is a multiple of
+        p1; Cramer's rule gives the multiples, both scaled by one
+        determinant so that no division is needed.  Coincident points make
+        the matrix singular (DegenerateInput)."""
+        s = p1.x * p0.y - p0.x * p1.y
+        t = pinf.x * p1.y - p1.x * pinf.y
+        return cls(s * pinf.x, t * p0.x, s * pinf.y, t * p0.y)
+
+    @classmethod
     def to_standard(cls, p0: ProjPoint, p1: ProjPoint, pinf: ProjPoint) -> "Mobius":
-        """The unique map with p0 -> (0:1), p1 -> (1:1), pinf -> (1:0)."""
-        if p0 == p1 or p1 == pinf:
-            raise DegenerateInput("anchor points must be pairwise distinct")
-        m0 = cls.zero_infinity(p0, pinf)
-        img = m0.apply(p1)
-        return cls(img.y * m0.a, img.y * m0.b, img.x * m0.c, img.x * m0.d)
+        """The unique map with p0 -> (0:1), p1 -> (1:1), pinf -> (1:0): the
+        inverse of :meth:`from_standard`."""
+        return cls.from_standard(p0, p1, pinf).inverse()
 
     def normalized(self) -> Tuple:
         for pivot in (self.a, self.b, self.c, self.d):
@@ -244,20 +257,23 @@ class MarkedTree:
         """For each component c reached through three or more points, three
         marks reached through distinct points of c (the smallest by
         ``repr`` of the smallest mark in each direction) and the Moebius
-        map sending their entry points to (0:1), (1:1), (1:0).  A component
-        reached through fewer points is left out, and searching from it
-        raises."""
+        map sending their entry points to (0:1), (1:1), (1:0).  The marks
+        are ranked by ``repr`` once per tree, and each component compares
+        ranks.  A component reached through fewer points is left out, and
+        searching from it raises."""
         if self._anchors is None:
+            order = sorted(self.marking, key=repr)
+            rank = {lbl: r for r, lbl in enumerate(order)}
             self._anchors = {}
             for c, entry in self.entry.items():
-                by_point: Dict[ProjPoint, list] = {}
+                best: Dict[ProjPoint, int] = {}
                 for lbl, pt in entry.items():
-                    by_point.setdefault(pt, []).append(lbl)
-                if len(by_point) < 3:
+                    r = rank[lbl]
+                    if r < best.get(pt, len(order)):
+                        best[pt] = r
+                if len(best) < 3:
                     continue
-                marks = tuple(sorted(
-                    (min(lbls, key=repr) for lbls in by_point.values()),
-                    key=repr)[:3])
+                marks = tuple(order[r] for r in sorted(best.values())[:3])
                 self._anchors[c] = (
                     marks, Mobius.to_standard(*(entry[a] for a in marks)))
         return self._anchors
@@ -562,52 +578,65 @@ def marked_isomorphism(t1: MarkedTree, relabel: dict,
     """The isomorphism from t1 to ``dst`` (default: t1 itself) sending
     each mark w to the mark ``relabel[w]``, or None.
 
-    The component bijection is forced: each component c is the meeting
-    point of its three anchor marks, so its image is the unique component
-    that the relabelled anchors reach through three distinct points.
-    Sending the anchors' entry points to theirs forces the coordinate map,
-    which every mark and every node then confirms or refutes.  The trees
-    must have equally many components and nodes, which
-    :func:`are_isomorphic` checks.  Without ``dst``, this finds the
-    automorphism that permutes the marks by ``relabel``, on t1's own
-    entry maps; no relabelled copy is built.  Both trees' anchors and
-    entry maps are the ones they keep.
+    One component fixes everything.  The root, the component of t1's first
+    mark, is the meeting point of its three anchor marks, so its image is
+    the unique component of ``dst`` that the relabelled anchors reach
+    through three distinct points; one scan over ``dst`` finds it.  From
+    there the search walks t1.  At a component c with image d, sending c's
+    anchors' entry points to the relabelled anchors' entry points on d
+    forces the coordinate map m; the three must be distinct there, or
+    there is no isomorphism.  A neighbour of c is glued at some point p,
+    so its image must be the neighbour of d glued at m(p), looked up in a
+    point-to-neighbour table of d built for this search; for c's parent,
+    whose image is already fixed, that lookup checks the node from the
+    second end.  So every node is confirmed from both ends, and the marks
+    then confirm or refute the maps.  The trees must have equally many
+    components and nodes, which :func:`are_isomorphic` checks.  Without
+    ``dst``, this finds the automorphism that permutes the marks by
+    ``relabel``, on t1's own entry maps; no relabelled copy is built.
+    Both trees' anchors and entry maps are the ones they keep.
     """
     t2 = t1 if dst is None else dst
     anchors1, entry2 = t1.anchors, t2.entry
-    comp_map, mobius = {}, {}
-    for c in t1.components:
-        if c not in anchors1:
-            raise ValueError("tree is not stable")
-        anchors, src_std = anchors1[c]
-        images = [relabel[a] for a in anchors]
-        candidates = [
-            d for d in t2.components
-            if len({entry2[d][a] for a in images}) == 3
-        ]
-        if not candidates:
-            return None
-        if len(candidates) > 1:
-            raise AssertionError("median of three marks must be unique")
-        d = candidates[0]
-        comp_map[c] = d
-        dst_std = Mobius.to_standard(*(entry2[d][a] for a in images))
-        mobius[c] = dst_std.inverse().compose(src_std)
-
-    if len(set(comp_map.values())) != len(comp_map):
+    if len(anchors1) != len(t1.components) or not t1.marking:
+        raise ValueError("tree is not stable")
+    root = next(iter(t1.marking.values()))[0]
+    images = [relabel[a] for a in anchors1[root][0]]
+    candidates = [d for d in t2.components
+                  if len({entry2[d][a] for a in images}) == 3]
+    if not candidates:
         return None
-    # verify marks
+    if len(candidates) > 1:
+        raise AssertionError("median of three marks must be unique")
+    comp_map, mobius = {root: candidates[0]}, {}
+    stack = [root]
+    while stack:
+        c = stack.pop()
+        d = comp_map[c]
+        anchors, src_std = anchors1[c]
+        entry = entry2[d]
+        p0, p1, pinf = (entry[relabel[a]] for a in anchors)
+        if p0 == p1 or p1 == pinf or p0 == pinf:
+            return None
+        m = mobius[c] = Mobius.from_standard(p0, p1, pinf).compose(src_std)
+        at = {p: d2 for d2, p in t2.neighbors(d).items()}
+        for c2, p in t1.neighbors(c).items():
+            d2 = at.get(m.apply(p))
+            if d2 is None:
+                return None
+            if c2 in comp_map:
+                if comp_map[c2] != d2:
+                    return None
+            else:
+                comp_map[c2] = d2
+                stack.append(c2)
+
+    # injective, and every component reached
+    if len(set(comp_map.values())) != len(t1.components):
+        return None
     for lbl, (cid, pt) in t1.marking.items():
         cid2, pt2 = t2.marking[relabel[lbl]]
         if comp_map[cid] != cid2 or mobius[cid].apply(pt) != pt2:
-            return None
-    # verify nodes; equally many on both sides, so one direction suffices
-    nodes2 = t2.nodes
-    for nd in t1.nodes:
-        (c1, p1), (c2, p2) = tuple(nd)
-        image = node(comp_map[c1], mobius[c1].apply(p1),
-                     comp_map[c2], mobius[c2].apply(p2))
-        if image not in nodes2:
             return None
     return Correspondence(comp_map, mobius)
 

@@ -82,23 +82,24 @@ def cid_from_str(s: str):
 # -- trees and ferns ----------------------------------------------------------
 
 def tree_to_json(t: MarkedTree) -> dict:
+    name = {cid: cid_to_str(cid) for cid in t.components}
     components = []
-    for cid in sorted(t.components, key=cid_to_str):
+    for cid in sorted(t.components, key=name.get):
         special = {label_to_str(lbl): point_to_json(p)
                    for lbl, p in t.marks_on(cid).items()}
         for nb, p in t.neighbors(cid).items():
-            special["node:" + cid_to_str(nb)] = point_to_json(p)
-        components.append({"id": cid_to_str(cid), "special": special})
+            special["node:" + name[nb]] = point_to_json(p)
+        components.append({"id": name[cid], "special": special})
     nodes = sorted(
-        [sorted([[cid_to_str(c), point_to_json(p)] for c, p in nd])
+        [sorted([[name[c], point_to_json(p)] for c, p in nd])
          for nd in t.nodes])
     return {
         "field": field_to_json(t.field),
         "components": components,
         "nodes": nodes,
-        "marking": {label_to_str(l): [cid_to_str(c), point_to_json(p)]
+        "marking": {label_to_str(l): [name[c], point_to_json(p)]
                     for l, (c, p) in sorted(t.marking.items(), key=lambda kv: label_to_str(kv[0]))},
-        "extra": {label_to_str(l): [cid_to_str(c), point_to_json(p)]
+        "extra": {label_to_str(l): [name[c], point_to_json(p)]
                   for l, (c, p) in sorted(t.extra.items(), key=lambda kv: label_to_str(kv[0]))},
     }
 

@@ -93,6 +93,25 @@ def test_mobius_between_triples():
         Mobius.zero_infinity(pt(2), pt(2))
 
 
+@pytest.mark.parametrize("p,e,m", [(3, 1, 1), (2, 2, 1), (2, 8, 1)])
+def test_from_standard_sends_the_standard_triple(p, e, m, rng):
+    fld = field_make(p, e, m)
+    points = [ProjPoint.infinity(fld)] + [ProjPoint.affine(x)
+                                          for x in fld.elements()]
+    standard = (ProjPoint.zero(fld), ProjPoint.affine(fld.one),
+                ProjPoint.infinity(fld))
+    triples = [tuple(points[:3]), tuple(points[1:4])] + \
+        [tuple(rng.sample(points, 3)) for _ in range(20)]
+    for triple in triples:
+        move = Mobius.from_standard(*triple)
+        assert [move.apply(s) for s in standard] == list(triple)
+        assert move == Mobius.to_standard(*triple).inverse()
+    a, b = points[1], points[-1]
+    for coincident in [(a, a, b), (a, b, b), (a, b, a), (a, a, a)]:
+        with pytest.raises(DegenerateInput):
+            Mobius.from_standard(*coincident)
+
+
 # ---------------------------------------------------------------------------
 # validation and dual graphs
 # ---------------------------------------------------------------------------

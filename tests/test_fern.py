@@ -847,3 +847,85 @@ def test_are_isomorphic_matches_reference(rng):
                 if found is not None:
                     assert found.components == expected.components
                     assert found.maps == expected.maps
+
+
+# ---------------------------------------------------------------------------
+# the walk's refusals, pair by pair against the reference search
+# ---------------------------------------------------------------------------
+
+F5 = field_make(5)
+
+
+def f5(v):
+    return ProjPoint.infinity(F5) if v is None else ProjPoint.affine(F5.from_int(v))
+
+
+def two_line_tree(node_on_b=0, marks=None):
+    """The parent A carries marks 4, 5 and meets the child B at (0:1) of
+    A; B carries marks 1, 2, 3, 6.  Mark 4 comes first, so the walk
+    starts at A, and B's anchors are its own marks 1, 2, 3."""
+    placed = {4: ("A", 1), 5: ("A", 2),
+              1: ("B", 1), 2: ("B", 2), 3: ("B", 3), 6: ("B", None)}
+    placed.update(marks or {})
+    return MarkedTree(F5, ["A", "B"], [curve.node("A", f5(0), "B", f5(node_on_b))],
+                      {lbl: (c, f5(v)) for lbl, (c, v) in placed.items()})
+
+
+def assert_refused(t2):
+    """The stable tree of ``two_line_tree()`` maps to an unmoved copy of
+    itself, and neither search maps it to t2."""
+    t1 = two_line_tree()
+    assert t1.validate().ok
+    assert curve.are_isomorphic(t1, two_line_tree()) is not None
+    assert (len(t1.components), len(t1.nodes)) == (len(t2.components), len(t2.nodes))
+    assert reference_isomorphism(t1, t2) is None
+    assert curve.are_isomorphic(t1, t2) is None
+
+
+def test_walk_refuses_a_node_moved_on_the_child_side():
+    # every mark sits where the identity sends it, so only the node from
+    # B's end, the edge back to B's parent, tells the trees apart
+    moved = two_line_tree(node_on_b=4)
+    assert moved.validate().ok
+    assert_refused(moved)
+
+
+def test_walk_refuses_a_root_whose_anchors_meet_nowhere():
+    # with 5 on top of 4, no component is reached by 4, 5 and 1 through
+    # three distinct points
+    assert_refused(two_line_tree(marks={5: ("A", 1)}))
+
+
+def test_walk_refuses_a_mark_at_the_wrong_point():
+    # 6 stays on B, the image of its component, but at (4:1)
+    assert_refused(two_line_tree(marks={6: ("B", 4)}))
+
+
+UNSTABLE_PROBE = """
+from ferns import curve
+from ferns.curve import MarkedTree, ProjPoint
+from ferns.gf import field_make
+K = field_make(5)
+pt = lambda v: ProjPoint.affine(K.from_int(v))
+def tree(five):
+    # B carries one mark and its node: two special points
+    return MarkedTree(K, ["A", "B"], [curve.node("A", pt(0), "B", pt(0))],
+                      {4: ("A", pt(1)), 5: ("A", pt(five)), 1: ("B", pt(1))})
+try:
+    curve.are_isomorphic(tree(2), tree(1))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_unstable_tree_raises_before_the_walk():
+    # hash seeds 0 and 3 iterate {"A", "B"} in opposite orders; either way
+    # the search refuses the unstable source before it can find that the
+    # other tree does not match
+    src = Path(__file__).resolve().parents[1] / "src"
+    for hash_seed in ("0", "3"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        run = subprocess.run([sys.executable, "-c", UNSTABLE_PROBE],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "tree is not stable\n"

@@ -86,3 +86,33 @@ def test_equivariance_rejects_a_moved_mark_or_failed_equations(monkeypatch):
                         lambda self, assignment: False)
     with pytest.raises(AssertionError, match="equations fail"):
         verify.criterion_equivariance()
+
+
+def test_knudsen_quick_size_reaches_several_survivors(monkeypatch):
+    # the direct contraction, the first one of each random tree that drops
+    # marks, must keep two or more components at quick size and put a
+    # forgotten mark on one of their nodes, or the order check cannot see
+    # where forgotten marks land
+    real_tree, real_contract = verify.random_stable_tree, curve.contract
+    trees, direct = {}, {}
+
+    def tree(*args, **kwargs):
+        t = real_tree(*args, **kwargs)
+        trees[id(t)] = t
+        return t
+
+    def contract(t, keep):
+        out = real_contract(t, keep)
+        if id(t) in trees and id(t) not in direct \
+                and len(set(keep)) < len(t.marking):
+            direct[id(t)] = out
+        return out
+
+    monkeypatch.setattr(verify, "random_stable_tree", tree)
+    monkeypatch.setattr(curve, "contract", contract)
+    verify.criterion_knudsen(40, 0)
+    several = [out for out in direct.values() if len(out.components) >= 2]
+    on_node = [out for out in several
+               if any(pt in out.neighbors(c).values()
+                      for c, pt in out.extra.values())]
+    assert several and on_node
