@@ -12,6 +12,7 @@ computations share nothing but the field tables.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -186,14 +187,10 @@ def bv_count_bruteforce(n: int, q: int, m: int, budget: int = 10 ** 6) -> int:
 
 def census(n: int, q: int, m: int, with_oracle: bool = True,
            budget: int = 10 ** 6) -> CountReport:
-    if with_oracle:  # before the stratum sum, which can take long itself
-        _check_budget(n, q, m, budget)
-    report = bv_count_strata(n, q, m)
-    if not with_oracle:
-        return report
-    oracle = bv_count_bruteforce(n, q, m, budget=budget)
-    return CountReport(report.n, report.q, report.m, report.strata,
-                       report.total, oracle)
+    # the oracle first, so that its budget check fails fast, before the
+    # stratum sum, which can take long itself
+    oracle = bv_count_bruteforce(n, q, m, budget) if with_oracle else None
+    return dataclasses.replace(bv_count_strata(n, q, m), oracle_total=oracle)
 
 
 def confirm_omega_closed_form(limit: int = 4096) -> List[Tuple[int, int, int]]:

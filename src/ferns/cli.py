@@ -27,8 +27,8 @@ from typing import List, Optional
 from . import census as census_mod
 from . import jsonio, verify
 from .fern import InvalidFern, contract_fern, drinfeld_psi, graft, line_data
-from .gf import Flag, LinSpace, Subspace, VSpace, complete_flags, field_make
-from .universal import (Chart, chart_coords, chart_point, chart_points,
+from .gf import LinSpace, Subspace, VSpace, field_make
+from .universal import (Chart, atlas, chart_coords, chart_point, chart_points,
                         classify, fiber, round_trip)
 
 
@@ -165,7 +165,7 @@ def cmd_classify(args) -> int:
     fern = _load_fern(args.infile)
     point = classify(fern)
     payload = {"class_point": jsonio.classpoint_to_json(point)}
-    chart = Chart.for_flag(fern.space, _complete(fern))
+    chart = Chart.for_fern(fern)
     payload["chart_flag"] = chart.flag.key()
     payload["chart_basis"] = [list(b) for b in chart.basis]
     payload["t"] = [list(x.coeffs) for x in chart_coords(point, chart)]
@@ -173,35 +173,18 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _complete(fern):
-    """A complete flag refining the fern's associated flag, deterministically."""
-    space = fern.space
-    steps = list(fern.flag.steps)
-    refined = [steps[0]]
-    for nxt in steps[1:]:
-        while refined[-1].dim + 1 < nxt.dim:
-            prev = refined[-1]
-            grow = next(v for v in space.vectors()
-                        if nxt.contains(v) and not prev.contains(v))
-            refined.append(prev.add_subspace(
-                Subspace.from_vectors(space.vs, [grow])))
-        refined.append(nxt)
-    return Flag(tuple(refined))
-
-
 def cmd_roundtrip(args) -> int:
     fld = _field(args)
     space = LinSpace.full(VSpace(fld, args.n))
-    flags = sorted(complete_flags(space.vs), key=lambda f: f.key())
-    atlas = [Chart.for_flag(space, flag) for flag in flags]
+    charts = atlas(space)
     lines = []
     failures = 0
-    for flag, chart in zip(flags, atlas):
+    for chart in charts:
         for cp in chart_points(chart):
-            fb, failure = round_trip(cp, atlas)
+            fb, failure = round_trip(cp, charts)
             failures += 0 if failure is None else 1
             lines.append({
-                "flag": flag.key(),
+                "flag": chart.flag.key(),
                 "t": [list(x.coeffs) for x in cp.t],
                 "stratum": cp.stratum.key(),
                 "components": len(fb.tree.components),

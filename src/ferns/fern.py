@@ -398,39 +398,31 @@ def drinfeld_psi(ld: LineData, scale: Optional[FieldElement] = None) -> Additive
     """The additive polynomial determined by an injective line datum.
 
     psi_t(x) = t * x * prod over nonzero v of (1 - x / lambda_v), with
-    lambda = scale * (canonical values).  Only exponents q^i survive, the
-    x-coefficient is exactly t, the degree is q^dim, and every lambda_v is
-    a root of the scalar part.
+    lambda = scale * (canonical values), built as the subspace polynomial
+    of the lambda values: P_0 = x and, over a basis b_1..b_n,
+    P_{k+1} = P_k^q - P_k(lambda_{b_{k+1}})^(q-1) P_k, whose roots are the
+    lambda_v with v in span(b_1..b_{k+1}); psi is P_n over its
+    x-coefficient.  The degree is q^dim and every lambda_v is a root.
     """
     if not ld.is_injective():
         raise ValueError("line datum has a nonzero kernel")
     space = ld.space
-    fld = space.field
+    fld, q = space.field, space.q
     scale = fld.one if scale is None else scale
     lam = {v: scale * x for v, x in ld.values.items()}
-    coeffs = [fld.zero, fld.one]  # the x factor
-    for v in space.vectors():
-        if v == space.zero:
-            continue
-        inv = lam[v].inverse()
-        # multiply by (1 - x / lambda_v)
-        coeffs = [c - (coeffs[i - 1] * inv if i else fld.zero)
-                  for i, c in enumerate(coeffs)] + [-coeffs[-1] * inv]
-    table = {}
-    q, expo = space.q, 1
-    qpowers = set()
-    while expo <= len(coeffs):
-        qpowers.add(expo)
-        expo *= q
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        if i not in qpowers:
-            raise AssertionError(f"non-q-power exponent {i} in additive polynomial")
-        table[i] = c
-    poly = AdditivePoly(fld, q, table)
-    if poly.x_coefficient() != fld.one:
-        raise AssertionError("x-coefficient of psi is not one")
+    poly = AdditivePoly(fld, q, {1: fld.one})
+    for b in space.basis():
+        c = poly.evaluate_scalar_part(lam[b]) ** (q - 1)
+        table = {e * q: a ** q for e, a in poly.coeffs.items()}
+        for e, a in poly.coeffs.items():
+            table[e] = table.get(e, fld.zero) - c * a
+        poly = AdditivePoly(fld, q, {e: a for e, a in sorted(table.items())
+                                     if a})
+    x_coeff = poly.coeffs.get(1)
+    if not x_coeff:
+        raise AssertionError("x-coefficient of psi vanishes")
+    inv = x_coeff.inverse()
+    poly = AdditivePoly(fld, q, {e: a * inv for e, a in poly.coeffs.items()})
     if poly.degree != q ** space.dim:
         raise AssertionError(f"psi has degree {poly.degree}, not q^dim")
     for v in space.vectors():

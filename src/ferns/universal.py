@@ -27,8 +27,14 @@ class of W is the line datum of the contraction to W and infinity; it is
 read at the marks' entry points on one component of the path from the
 infinity mark to the 0-mark, with no contraction built, in a coordinate
 fixed only by where the 0-mark and the infinity mark enter, and then
-canonically scaled.  ``round_trip`` runs both directions over one chart
-point and checks that the fiber glues across the charts of an atlas.
+canonically scaled.
+
+``atlas`` lists the complete-flag charts of a space.  By the main theorem a
+fern is the pullback of the universal family along its classifying map, so
+its class lies in the chart of a complete flag exactly when that flag
+refines the fern's flag (``Chart.adapted_to``).  ``round_trip`` runs both
+directions over one chart point and checks that the fiber glues across
+exactly those charts of an atlas.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from . import curve, fern as fern_mod
 from .curve import ProjPoint
 from .fern import Fern, validate_fern
 from .gf import (INF, FieldElement, Flag, GroupElement, LinSpace, Subspace,
-                 VSpace, adapted_basis)
+                 VSpace, adapted_basis, complete_flags)
 
 Vec = tuple
 BVec = tuple  # coordinates with respect to a chart basis
@@ -88,6 +94,22 @@ class Chart:
             raise ValueError("chart flags must be complete")
         return cls(space, adapted_basis(flag))
 
+    @classmethod
+    def for_fern(cls, f: Fern) -> "Chart":
+        """The chart of a complete flag refining the fern's flag, chosen
+        deterministically: each gap is filled one first vector at a time."""
+        space = f.space
+        refined = [f.flag.steps[0]]
+        for nxt in f.flag.steps[1:]:
+            while refined[-1].dim + 1 < nxt.dim:
+                prev = refined[-1]
+                grow = next(v for v in space.vectors()
+                            if nxt.contains(v) and not prev.contains(v))
+                refined.append(prev.add_subspace(
+                    Subspace.from_vectors(space.vs, [grow])))
+            refined.append(nxt)
+        return cls.for_flag(space, Flag(tuple(refined)))
+
     def to_coords(self, v: Vec) -> BVec:
         return self.space.coords(v, self.basis)
 
@@ -120,26 +142,18 @@ def _suffix_products(fld, t: Sequence[FieldElement]) -> tuple:
     return tuple(rows)
 
 
-def chart_contains(chart: Chart, t: Sequence[FieldElement],
-                   flag: Optional[Flag] = None):
-    """Membership of t in the chart of ``flag`` (default: the complete flag).
+def chart_contains(chart: Chart, t: Sequence[FieldElement]):
+    """Membership of t in the chart.
 
-    Returns (True, stratum flag) or (False, None).  The conditions are:
-    the zero entries of t sit at interior indices of ``flag``, and within
-    each block of the resulting zero-pattern stratum every non-trivial
-    F_q-linear combination of the suffix products of t is nonzero.
+    Returns (True, stratum flag) or (False, None).  The zero entries of t
+    fix the stratum, and within each of its blocks every non-trivial
+    F_q-linear combination of the suffix products of t must be nonzero.
     """
     n, fld = chart.n, chart.field
     if len(t) != n - 1:
         raise ValueError("coordinate tuple has the wrong length")
-    flag = chart.flag if flag is None else flag
-    if not chart.adapted_to(flag):
-        raise ValueError("chart basis is not adapted to the flag")
-    interior = {chart.positions[s] for s in flag.steps[1:-1]}
-    zeros = {i + 1 for i, x in enumerate(t) if not x}
-    if not zeros <= interior:
-        return False, None
-    iseq = [0] + sorted(zeros) + [n]
+    zeros = [i + 1 for i, x in enumerate(t) if not x]
+    iseq = [0] + zeros + [n]
     suffix = _suffix_products(fld, t)
     for k in range(1, len(iseq)):
         lo, hi = iseq[k - 1] + 1, iseq[k]
@@ -478,28 +492,35 @@ def chart_coords(point: ClassPoint, chart: Chart) -> tuple:
     return tuple(out)
 
 
-def round_trip(cp: ChartPoint, atlas: Sequence[Chart]
+def atlas(space: LinSpace) -> List[Chart]:
+    """The charts of the complete flags of a full space, in ``Flag.key``
+    order."""
+    flags = sorted(complete_flags(space.vs), key=Flag.key)
+    return [Chart.for_flag(space, flag) for flag in flags]
+
+
+def round_trip(cp: ChartPoint, charts: Sequence[Chart]
                ) -> Tuple[Fern, Optional[str]]:
     """The fiber over a chart point, and how its round trip fails (None
     when it holds).
 
     Classifying the fiber must give back the point's coordinates.  A fern
-    is the pullback of the universal family along its classifying map in
-    every chart that contains its class, so in every other chart of
-    ``atlas`` that contains the class, the fiber must be isomorphic to
+    is the pullback of the universal family along its classifying map, so
+    its class lies in every chart that refines the class's flag, and in
+    each other such chart of ``charts`` the fiber must be isomorphic to
     this one and classify to the same point.
     """
     fb = fiber(cp)
     point = classify(fb)
     if chart_coords(point, cp.chart) != cp.t:
         return fb, "coordinates drift"
-    for chart in atlas:
-        if chart is cp.chart:
+    for chart in charts:
+        if chart is cp.chart or not chart.adapted_to(fb.flag):
             continue
         try:
             there = chart_point(chart, chart_coords(point, chart))
-        except ValueError:  # the class lies outside this chart
-            continue
+        except ValueError:
+            return fb, "class outside a chart that refines its flag"
         other = fiber(there)
         if curve.are_isomorphic(fb.tree, other.tree) is None:
             return fb, "fibers differ across charts"

@@ -18,14 +18,14 @@ from . import census as census_mod
 from . import curve
 from .fern import (LineData, contract_fern, drinfeld_psi, expand_root_product,
                    fern_violations, line_data, reciprocal_data)
-from .gf import (INF, GroupElement, LinSpace, Subspace, VSpace, complete_flags,
+from .gf import (INF, GroupElement, LinSpace, Subspace, VSpace,
                  field_make, flags, gaussian_binomial, group_act,
                  group_elements, group_inv, group_mul, subspaces)
 from .rand import (injective_linear_marking, random_fern, random_pipeline_fern,
                    random_stable_tree, stabilize_at_random)
-from .universal import (Chart, PointEquations, chart_point, chart_points,
-                        component_id, fiber, locate_component, round_trip,
-                        section_assignment)
+from .universal import (Chart, PointEquations, atlas, chart_point,
+                        chart_points, component_id, fiber, locate_component,
+                        round_trip, section_assignment)
 
 
 @dataclass
@@ -52,8 +52,7 @@ def _run(name: str, fn: Callable[[], str]) -> CheckResult:
 
 
 def _space(n: int, q: int, m: int) -> LinSpace:
-    p, e = census_mod._prime_power(q)
-    return LinSpace.full(VSpace(field_make(p, e, m), n))
+    return LinSpace.full(VSpace(census_mod._field_for(q, m), n))
 
 
 # ---------------------------------------------------------------------------
@@ -79,20 +78,17 @@ def criterion_census() -> str:
     return f"{len(CENSUS_CASES)} configurations agree with the oracle"
 
 
-def _complete_charts(space: LinSpace) -> List[Chart]:
-    return [Chart.for_flag(space, fl) for fl in complete_flags(space.vs)]
-
-
 def criterion_roundtrip(cases=ROUNDTRIP_CASES) -> str:
     """Fibers validate, match their stratum, classify back exactly, and
-    glue across every chart of the complete-flag atlas that holds them."""
+    glue across every chart of the complete-flag atlas that refines their
+    flag."""
     total = 0
     for n, q, m in cases:
         space = _space(n, q, m)
-        atlas = _complete_charts(space)
-        for chart in atlas:
+        charts = atlas(space)
+        for chart in charts:
             for cp in chart_points(chart):
-                failure = round_trip(cp, atlas)[1]
+                failure = round_trip(cp, charts)[1]
                 if failure is not None:
                     raise AssertionError(f"{failure} at {cp}")
                 total += 1
@@ -105,7 +101,7 @@ def criterion_contraction_compat() -> str:
     total = 0
     n, q, m = 3, 2, 1
     space = _space(n, q, m)
-    for chart in _complete_charts(space):
+    for chart in atlas(space):
         w = chart.flag.steps[n - 1]
         sub_space = LinSpace(space.vs, w, space.mod)
         sub_chart = Chart(sub_space, chart.basis[:n - 1])
@@ -255,7 +251,7 @@ def criterion_equivariance() -> str:
     where its section locates it, exhaustively for dimension 3 over F_2."""
     space = _space(3, 2, 1)
     total = 0
-    for chart in _complete_charts(space):
+    for chart in atlas(space):
         for cp in chart_points(chart):
             equations = PointEquations(cp)
             marking = fiber(cp).tree.marking
@@ -303,8 +299,7 @@ def invariant_field_axioms(seed: int = 0) -> str:
 
 def invariant_subspace_counts() -> str:
     for q, n in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
-        p, e = census_mod._prime_power(q)
-        vs = VSpace(field_make(p, e, 1), n)
+        vs = VSpace(census_mod._field_for(q, 1), n)
         for d in range(n + 1):
             subs = subspaces(vs, d)
             if not len(subs) == len(set(subs)) == gaussian_binomial(n, d, q):
@@ -341,8 +336,7 @@ def _all_chains(vs) -> list:
 
 def invariant_group_laws() -> str:
     for q, n in [(2, 2), (3, 1), (3, 2)]:
-        p, e = census_mod._prime_power(q)
-        space = LinSpace.full(VSpace(field_make(p, e, 1), n))
+        space = _space(n, q, 1)
         G = group_elements(space)
         ident = GroupElement.identity(space)
         for a in G:
@@ -359,7 +353,6 @@ def invariant_group_laws() -> str:
 def invariant_fern_uniqueness_dim1(seed: int = 0) -> str:
     rng = random.Random(seed + 5)
     for q, m in [(2, 1), (2, 2), (3, 1), (3, 2)]:
-        p, e = census_mod._prime_power(q)
         space = _space(1, q, m)
         ferns = [random_fern(space, rng) for _ in range(5)]
         for other in ferns[1:]:
@@ -371,7 +364,7 @@ def invariant_fern_uniqueness_dim1(seed: int = 0) -> str:
 def invariant_fiber_injectivity() -> str:
     for n, q, m in [(1, 2, 1), (2, 2, 1), (2, 3, 1), (2, 2, 2), (3, 2, 1)]:
         space = _space(n, q, m)
-        for chart in _complete_charts(space):
+        for chart in atlas(space):
             fibers = [(cp, fiber(cp)) for cp in chart_points(chart)]
             for i, (cp1, f1) in enumerate(fibers):
                 for cp2, f2 in fibers[i + 1:]:

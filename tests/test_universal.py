@@ -14,9 +14,10 @@ from ferns.fern import Fern, contract_fern, line_data, reciprocal_data
 from ferns.gf import (INF, Flag, LinSpace, Subspace, VSpace, complete_flags,
                       field_make, group_elements)
 from ferns.rand import random_fern, random_pipeline_fern
+from ferns.verify import ROUNDTRIP_CASES
 from ferns import universal
 from ferns.universal import (Chart, ChartPoint, ClassPoint, PointEquations,
-                             chart_contains, chart_coords, chart_point,
+                             atlas, chart_contains, chart_coords, chart_point,
                              chart_points, check_equations, classify,
                              compatibility_checker, component_constraint,
                              fiber, functional_candidates, locate_component,
@@ -193,8 +194,8 @@ def test_chart_requires_adapted_basis():
     ch = Chart(sp)
     other = [f for f in complete_flags(sp.vs)
              if f.steps != ch.flag.steps][0]
-    with pytest.raises(ValueError):
-        chart_contains(ch, (sp.field.zero,), flag=other)
+    assert not ch.adapted_to(other)
+    assert Chart.for_flag(sp, other).adapted_to(other)
 
 
 def test_chart_positions_read_the_flag_once():
@@ -205,30 +206,24 @@ def test_chart_positions_read_the_flag_once():
     omega = fld.element((0, 1))
     coarse = Flag((sp.mod, ch.flag.steps[2], sp.sub))
     assert ch.adapted_to(coarse)
-    ok, stratum = chart_contains(ch, (omega, fld.zero), flag=coarse)
+    ok, stratum = chart_contains(ch, (omega, fld.zero))
     assert ok and stratum == coarse
     assert ChartPoint(ch, (omega, fld.zero), stratum).stratum_indices \
         == (0, 2, 3)
     # a plane that the chart's flag skips: the flag through it is not
-    # adapted to the chart, whatever the coordinates
+    # adapted to the chart
     plane = next(w for w in sp.subspace_steps(2) if w not in ch.positions)
-    skew = Flag((sp.mod, plane, sp.sub))
-    assert not ch.adapted_to(skew)
-    for t in ((omega, fld.zero), (omega, omega)):
-        with pytest.raises(ValueError):
-            chart_contains(ch, t, flag=skew)
+    assert not ch.adapted_to(Flag((sp.mod, plane, sp.sub)))
 
 
 def test_subflag_chart_membership():
-    # over F_4 the nonzero chart points belong to the trivial-flag chart
+    # over F_4 the nonzero chart points lie on the trivial-flag stratum
     ch = Chart(space(2, 2, 2))
     omega = ch.field.element((0, 1))
-    from ferns.gf import Flag
     trivial = Flag((ch.flag.steps[0], ch.flag.steps[-1]))
-    ok, _ = chart_contains(ch, (omega,), flag=trivial)
-    assert ok
-    ok, _ = chart_contains(ch, (ch.field.zero,), flag=trivial)
-    assert not ok  # zero coordinate needs the interior step
+    assert chart_contains(ch, (omega,)) == (True, trivial)
+    # a zero coordinate needs the interior step
+    assert chart_contains(ch, (ch.field.zero,)) == (True, ch.flag)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +490,7 @@ def reference_fiber(cp):
 
 
 def atlas_points(sp):
-    return [cp for flag in complete_flags(sp.vs)
-            for cp in chart_points(Chart.for_flag(sp, flag))]
+    return [cp for chart in atlas(sp) for cp in chart_points(chart)]
 
 
 def random_charts(sp, rng, count):
@@ -554,10 +548,6 @@ def test_fiber_solves_no_equations(monkeypatch):
 # the round trip glues across charts
 # ---------------------------------------------------------------------------
 
-def atlas(sp):
-    return [Chart.for_flag(sp, flag) for flag in complete_flags(sp.vs)]
-
-
 @pytest.mark.parametrize("n,q,m,points,pairs", [(2, 2, 2, 9, 12),
                                                 (2, 3, 2, 28, 72),
                                                 (3, 2, 1, 21, 0)])
@@ -600,6 +590,79 @@ def test_round_trip_reports_a_fiber_that_does_not_glue(monkeypatch):
     monkeypatch.setattr(curve, "are_isomorphic", lambda a, b: {})
     failures = {round_trip(cp, charts)[1] for cp in chart_points(first)}
     assert failures == {None, "classes differ across charts"}
+
+
+def test_round_trip_reports_a_class_outside_a_refining_chart(monkeypatch):
+    charts = atlas(space(2, 2, 2))
+    first, refusing = charts[0], charts[1]
+    real = universal.chart_point
+
+    def refused(chart, t):
+        if chart is refusing:
+            raise ValueError("refused")
+        return real(chart, t)
+
+    # the zero point's class lies in its own chart only; the smooth points'
+    # classes lie in every chart, the refusing one too
+    monkeypatch.setattr(universal, "chart_point", refused)
+    failures = {round_trip(cp, charts)[1] for cp in chart_points(first)}
+    assert failures == {None, "class outside a chart that refines its flag"}
+
+
+def charts_holding(point, charts):
+    """Oracle: the charts in which the class's coordinates exist and pass
+    the membership conditions."""
+    held = []
+    for chart in charts:
+        try:
+            chart_point(chart, chart_coords(point, chart))
+        except ValueError:
+            continue
+        held.append(chart)
+    return held
+
+
+ATLAS_CASES = ROUNDTRIP_CASES + [
+    pytest.param(*config, marks=pytest.mark.slow)
+    for config in [(3, 2, 2), (2, 3, 2), (2, 2, 4), (3, 3, 1), (4, 2, 1),
+                   (2, 4, 2)]]
+
+
+@pytest.mark.parametrize("n,q,m", ATLAS_CASES)
+def test_round_trip_visits_the_charts_holding_the_class(n, q, m, monkeypatch):
+    charts = atlas(space(n, q, m))
+    visited = []
+    real = universal.fiber
+
+    def recorded(cp):
+        visited.append(cp.chart)
+        return real(cp)
+
+    monkeypatch.setattr(universal, "fiber", recorded)
+    for chart in charts:
+        for cp in chart_points(chart):
+            visited.clear()
+            fb, failure = round_trip(cp, charts)
+            assert failure is None
+            held = charts_holding(classify(fb), charts)
+            assert [c for c in charts if c.adapted_to(fb.flag)] == held
+            assert visited == [chart] + [c for c in held if c is not chart]
+
+
+def class_key(point):
+    """ClassPoint is not hashable: its sorted (subspace key, coefficient
+    tuples) entries."""
+    return tuple(sorted((w.key(), tuple(x.coeffs for x in values))
+                        for w, values in point.functionals.items()))
+
+
+@pytest.mark.parametrize("n,q,m", ATLAS_CASES)
+def test_atlas_counts_the_census(n, q, m):
+    classes = {class_key(classify(fiber(cp)))
+               for cp in atlas_points(space(n, q, m))}
+    assert len(classes) == bv_count_strata(n, q, m).total
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -679,8 +742,7 @@ def test_bv_member_accepts_classified_ferns(rng):
 
 
 def _completion(fern):
-    from ferns.cli import _complete
-    return _complete(fern)
+    return Chart.for_fern(fern).flag
 
 
 def test_all_tuples_compatible_in_dimension_two():
@@ -831,8 +893,7 @@ def sampled_fibers(n, p, e, m, count, seed):
     """``count`` seeded chart points over every complete flag of F_q^n,
     with their fibers."""
     sp = LinSpace.full(VSpace(field_make(p, e, m), n))
-    points = [cp for flag in sorted(complete_flags(sp.vs), key=lambda f: f.key())
-              for cp in chart_points(Chart.for_flag(sp, flag))]
+    points = [cp for chart in atlas(sp) for cp in chart_points(chart)]
     picked = random.Random(seed).sample(points, min(count, len(points)))
     return [fiber(cp) for cp in picked]
 
