@@ -22,6 +22,10 @@ from .gf import (ExtField, LinSpace, VSpace, field_make, gaussian_binomial,
 from .universal import compatibility_checker, functional_candidates
 
 
+#: The default bound on the oracle's tuple space (``ferns census --budget``).
+BUDGET = 10 ** 6
+
+
 class BudgetExceeded(RuntimeError):
     """The brute-force tuple space is larger than the configured budget;
     ``size`` is a lower bound on its size."""
@@ -152,7 +156,7 @@ def _check_budget(n: int, q: int, m: int, budget: int) -> None:
             raise BudgetExceeded(size, budget)
 
 
-def bv_count_bruteforce(n: int, q: int, m: int, budget: int = 10 ** 6) -> int:
+def bv_count_bruteforce(n: int, q: int, m: int, budget: int = BUDGET) -> int:
     """Oracle: count the compatible functional tuples by a depth-first
     search that fixes one subspace's functional at a time, the largest
     subspace first (``checker.subs`` reversed).
@@ -186,14 +190,14 @@ def bv_count_bruteforce(n: int, q: int, m: int, budget: int = 10 ** 6) -> int:
 
 
 def census(n: int, q: int, m: int, with_oracle: bool = True,
-           budget: int = 10 ** 6) -> CountReport:
+           budget: int = BUDGET) -> CountReport:
     # the oracle first, so that its budget check fails fast, before the
     # stratum sum, which can take long itself
     oracle = bv_count_bruteforce(n, q, m, budget) if with_oracle else None
     return dataclasses.replace(bv_count_strata(n, q, m), oracle_total=oracle)
 
 
-def confirm_omega_closed_form(limit: int = 4096) -> List[Tuple[int, int, int]]:
+def confirm_omega_closed_form(limit: int) -> List[Tuple[int, int, int]]:
     """Check the closed-form count against the oracle on every (n, q, m)
     with q^(n*m) at most ``limit``; returns the configurations checked."""
     checked = []

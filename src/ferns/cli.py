@@ -174,8 +174,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    fld = _field(args)
-    space = LinSpace.full(VSpace(fld, args.n))
+    space = LinSpace.full(_checked(VSpace, _field(args), args.n))
     charts = atlas(space)
     lines = []
     failures = 0
@@ -244,12 +243,11 @@ def cmd_verify(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_field_args(sp, with_n=True):
+def _add_field_args(sp):
     sp.add_argument("--p", type=int, default=2, help="prime")
     sp.add_argument("--e", type=int, default=1, help="exponent, q = p^e")
     sp.add_argument("--m", type=int, default=1, help="extension degree")
-    if with_n:
-        sp.add_argument("--n", type=int, required=True, help="dimension")
+    sp.add_argument("--n", type=int, required=True, help="dimension")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--m", type=int, default=1)
     c.add_argument("--no-oracle", action="store_true")
-    c.add_argument("--budget", type=int, default=10 ** 6)
+    c.add_argument("--budget", type=int, default=census_mod.BUDGET)
     c.add_argument("--out")
     c.set_defaults(func=cmd_census)
 

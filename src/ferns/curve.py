@@ -469,11 +469,11 @@ def contract_to_component(t: MarkedTree, i) -> MarkedTree:
 # Stabilization
 # ---------------------------------------------------------------------------
 
-def _fresh_cid(t: MarkedTree, hint="s"):
+def _fresh_cid(t: MarkedTree):
     k = 0
-    while (hint, k) in t.components:
+    while ("s", k) in t.components:
         k += 1
-    return (hint, k)
+    return ("s", k)
 
 
 def stabilize(t: MarkedTree, i, position) -> MarkedTree:

@@ -336,18 +336,19 @@ class ExtField:
     # -- the embedded F_q ----------------------------------------------------
 
     def _init_scalars(self):
-        if self.m == 1:
-            base = self
-            self.scalars = self.interned
-        else:
+        if self.m > 1:
             # base field F_q on its own canonical modulus g, embedded via the
-            # canonically smallest root of g inside this field (0 when e = 1)
+            # canonically smallest root of g inside this field (0 when e = 1),
+            # whose F_q tables this field shares
             base = field_make(self.p, self.e)
             root = next(x for x in self.interned
                         if not self._eval_base(base.modulus, x))
             self.scalars = tuple(self._eval_base(b.coeffs, root)
                                  for b in base.interned)
-        els = base.interned
+            self.s_add, self.s_mul = base.s_add, base.s_mul
+            self.s_neg, self.s_inv = base.s_neg, base.s_inv
+            return
+        els = self.scalars = self.interned
         self.s_add = [[(a + b).pk for b in els] for a in els]
         self.s_mul = [[(a * b).pk for b in els] for a in els]
         self.s_neg = [(-a).pk for a in els]
@@ -373,6 +374,19 @@ class ExtField:
             if c:
                 total = total + self.scalars[c] * x
         return total
+
+    def independent(self, values: Sequence[FieldElement]) -> bool:
+        """Whether no nontrivial F_q-linear combination of ``values``
+        vanishes: each value lies outside the span of those before it,
+        which grows one value at a time."""
+        span = {self.zero}
+        for i, x in enumerate(values):
+            if x in span:
+                return False
+            if i + 1 < len(values):
+                multiples = [s * x for s in self.scalars]
+                span = {y + z for y in span for z in multiples}
+        return True
 
 
 @lru_cache(maxsize=None)
@@ -706,6 +720,10 @@ class LinSpace:
     The canonical representative of s + U is ``U.reduce(s)``; all vector
     operations reduce their result, so the reps form an F_q-space of
     dimension dim S - dim U.  Full spaces are LinSpace(V, 0).
+
+    Coordinates are read off one table {rep: coordinates} per basis, built
+    by combining it over all q^dim coefficient tuples; the canonical
+    basis's table also gives the vectors.
     """
 
     def __init__(self, vs: VSpace, sub: Subspace, mod: Subspace):
@@ -720,8 +738,7 @@ class LinSpace:
         self.zero = mod.reduce(vs.zero)
         self._vectors: Optional[tuple] = None
         self._basis: Optional[tuple] = None
-        # basis (None: canonical) -> (its echelon form, {vector: coords})
-        self._coords: dict = {}
+        self._coords: dict = {}  # basis (None: canonical) -> :meth:`_table`
         self._subquotients: dict = {}
         self._steps: dict = {}  # d -> subspace_steps(d)
 
@@ -752,8 +769,7 @@ class LinSpace:
 
     def vectors(self) -> tuple:
         if self._vectors is None:
-            reps = {self.reduce(v) for v in self.sub.elements()}
-            self._vectors = tuple(sorted(reps))
+            self._vectors = tuple(sorted(self._table(None)))
         return self._vectors
 
     def basis(self) -> tuple:
@@ -793,33 +809,23 @@ class LinSpace:
         return self.reduce(v)
 
     def coords(self, v: Vec, basis: Optional[Sequence[Vec]] = None) -> Vec:
-        """Coordinates of v in ``basis`` (default the canonical one),
-        memoized per space and basis; ValueError if v is not a member.
-
-        The rows (b_i | e_i) and (u | 0), u over the modulus, are brought
-        to echelon form once per basis.  Reducing (v | 0) by it leaves
-        (0 | -coordinates) for a member and a nonzero left part otherwise.
-        """
-        key = None if basis is None else tuple(basis)
-        found = self._coords.get(key)
-        if found is None:
-            basis = self.basis() if key is None else key
-            k = len(basis)
-            rows = [tuple(b) + tuple(int(i == j) for j in range(k))
-                    for i, b in enumerate(basis)]
-            rows += [r + (0,) * k for r in self.mod.rows]
-            echelon = Subspace.from_vectors(VSpace(self.field, self.vs.n + k),
-                                            rows)
-            found = self._coords[key] = (echelon, {})
-        echelon, memo = found
-        out = memo.get(v)
+        """Coordinates of v in ``basis`` (default the canonical one), read
+        off the table of that basis; ValueError if v is not a member."""
+        table = self._table(None if basis is None else tuple(basis))
+        out = table.get(v) or table.get(self.reduce(v))  # () is falsy
         if out is None:
-            n, neg = self.vs.n, self.field.s_neg
-            rest = echelon.reduce(tuple(v) + (0,) * (echelon.space.n - n))
-            if any(rest[:n]):
-                raise ValueError("vector is not a member of the subquotient")
-            out = memo[v] = tuple(neg[c] for c in rest[n:])
+            raise ValueError("vector is not a member of the subquotient")
         return out
+
+    def _table(self, basis: Optional[tuple]) -> dict:
+        """{rep: coordinates} for a basis (None: the canonical one), built
+        once per basis by combining it over all q^dim coefficient tuples."""
+        table = self._coords.get(basis)
+        if table is None:
+            table = self._coords[basis] = {
+                self.combine(c, basis): c
+                for c in itertools.product(range(self.q), repeat=self.dim)}
+        return table
 
     def subspace_steps(self, d: int) -> list:
         """Ambient subspaces W with U <= W <= S and dim W/U = d, sorted by

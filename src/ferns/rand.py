@@ -108,23 +108,15 @@ def stabilize_at_random(tree: MarkedTree, label, rng: random.Random) -> MarkedTr
 # Random ferns
 # ---------------------------------------------------------------------------
 
-def injective_linear_marking(space: LinSpace, rng: random.Random,
-                             tries: int = 200):
+def injective_linear_marking(space: LinSpace, rng: random.Random):
     """Images of the canonical basis giving an injective linear map, if the
     value field has room (dimension over the subfield at least dim)."""
     fld = space.field
-    for _ in range(tries):
+    for _ in range(200):
         images = [random_field_element(fld, rng) for _ in range(space.dim)]
-        values = {}
-        clash = False
-        for v in space.vectors():
-            total = fld.combine(space.coords(v), images)
-            if total.coeffs in values:
-                clash = True
-                break
-            values[total.coeffs] = v
-        if not clash:
-            return {v: fld.element(c) for c, v in values.items()}
+        if fld.independent(images):
+            return {v: fld.combine(space.coords(v), images)
+                    for v in space.vectors()}
     return None
 
 

@@ -1,8 +1,8 @@
 """The explicit universal family over flag charts, and the classification map.
 
-A chart is a complete flag together with an adapted ordered basis; its
-points are coordinate tuples t in K^(n-1) subject to the membership
-conditions below, and each point carries a stratum flag read off the zero
+A chart is a complete flag together with an adapted ordered basis; a
+chart point is a pair (chart, t), with t in K^(n-1) subject to the
+membership conditions below, and its stratum flag is read off the zero
 pattern of t.  Every Q^k is F_q-linear in the vector, with the suffix
 products of t as coefficients, tabulated once per point in
 ``ChartPoint.suffix``.
@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import curve, fern as fern_mod
 from .curve import ProjPoint
@@ -116,12 +116,6 @@ class Chart:
     def from_coords(self, c: BVec) -> Vec:
         return self.space.combine(c, self.basis)
 
-    def flag_from_zero_indices(self, zeros: Iterable[int]) -> Flag:
-        idx = sorted(set(zeros))
-        steps = [self.flag.steps[0]] + [self.flag.steps[i] for i in idx] \
-            + [self.flag.steps[-1]]
-        return Flag(tuple(steps))
-
     def adapted_to(self, flag: Flag) -> bool:
         return all(step in self.positions for step in flag.steps)
 
@@ -142,40 +136,44 @@ def _suffix_products(fld, t: Sequence[FieldElement]) -> tuple:
     return tuple(rows)
 
 
-def chart_contains(chart: Chart, t: Sequence[FieldElement]):
+def chart_contains(chart: Chart, t: Sequence[FieldElement]) -> bool:
     """Membership of t in the chart.
 
-    Returns (True, stratum flag) or (False, None).  The zero entries of t
-    fix the stratum, and within each of its blocks every non-trivial
-    F_q-linear combination of the suffix products of t must be nonzero.
+    The zero entries of t fix the stratum, and within each of its blocks
+    the suffix products of t must be F_q-linearly independent.
     """
-    n, fld = chart.n, chart.field
-    if len(t) != n - 1:
+    fld = chart.field
+    if len(t) != chart.n - 1:
         raise ValueError("coordinate tuple has the wrong length")
-    zeros = [i + 1 for i, x in enumerate(t) if not x]
-    iseq = [0] + zeros + [n]
-    suffix = _suffix_products(fld, t)
-    for k in range(1, len(iseq)):
-        lo, hi = iseq[k - 1] + 1, iseq[k]
-        prods = suffix[hi][lo - 1:]  # t_j .. t_{hi-1} for j = lo .. hi
-        for combo in itertools.product(range(chart.q), repeat=len(prods)):
-            if any(combo) and not fld.combine(combo, prods):
-                return False, None
-    return True, chart.flag_from_zero_indices(zeros)
+    iseq, suffix = _stratum_indices(t), _suffix_products(fld, t)
+    # t_j .. t_{hi-1} for j = lo + 1 .. hi, between stratum steps lo and hi
+    return all(fld.independent(suffix[hi][lo:])
+               for lo, hi in zip(iseq, iseq[1:]))
+
+
+def _stratum_indices(t: Sequence[FieldElement]) -> tuple:
+    """0, the positions of the zero entries of t, and n = len(t) + 1."""
+    return (0, *(i + 1 for i, x in enumerate(t) if not x), len(t) + 1)
 
 
 @dataclass(frozen=True)
 class ChartPoint:
-    """A chart membership witness: coordinates plus the detected stratum."""
+    """A point of a chart: coordinates t that pass :func:`chart_contains`.
+    The stratum is read off the zero entries of t."""
 
     chart: Chart
     t: tuple  # (n-1) field elements
-    stratum: Flag
 
     @cached_property
     def stratum_indices(self) -> tuple:
         """(i_0 = 0, i_1, ..., i_m = n): positions of the stratum steps."""
-        return tuple(self.chart.positions[s] for s in self.stratum.steps)
+        return _stratum_indices(self.t)
+
+    @cached_property
+    def stratum(self) -> Flag:
+        """The stratum flag: the chart's flag steps at ``stratum_indices``."""
+        return Flag(tuple(self.chart.flag.steps[i]
+                          for i in self.stratum_indices))
 
     @cached_property
     def suffix(self) -> tuple:
@@ -188,22 +186,15 @@ class ChartPoint:
 
 
 def chart_point(chart: Chart, t: Sequence[FieldElement]) -> ChartPoint:
-    ok, stratum = chart_contains(chart, t)
-    if not ok:
+    if not chart_contains(chart, t):
         raise ValueError("coordinates violate the chart membership conditions")
-    return ChartPoint(chart, tuple(t), stratum)
+    return ChartPoint(chart, tuple(t))
 
 
 def chart_points(chart: Chart) -> List[ChartPoint]:
     """All points of the chart over the value field, in lexicographic order."""
-    fld = chart.field
-    out = []
-    for packed in itertools.product(range(fld.order), repeat=chart.n - 1):
-        t = tuple(fld.from_int(k) for k in packed)
-        ok, stratum = chart_contains(chart, t)
-        if ok:
-            out.append(ChartPoint(chart, t, stratum))
-    return out
+    tuples = itertools.product(chart.field.elements(), repeat=chart.n - 1)
+    return [ChartPoint(chart, t) for t in tuples if chart_contains(chart, t)]
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +421,6 @@ class ClassPoint:
                                         self.functionals[w])
 
 
-def canonical_functional(values: Sequence[FieldElement]) -> tuple:
-    """Scale a nonzero tuple so its last nonzero coordinate is one."""
-    last = max(i for i, x in enumerate(values) if x)
-    inv = values[last].inverse()
-    return tuple(x * inv for x in values)
-
-
 def classify(f: Fern) -> ClassPoint:
     """The functional tuple of a fern: for each nonzero subspace W, the
     line values of the contraction to W and infinity, canonically scaled
@@ -461,9 +445,9 @@ def classify(f: Fern) -> ClassPoint:
         for w in space.subspace_steps(d):
             sub = space.subquotient(w)
             basis = sub.basis()
-            values = fern_mod._line_values(_separating_entry(path, sub),
-                                           sub.zero, INF, basis)
-            functionals[w] = canonical_functional([values[b] for b in basis])
+            values = fern_mod._canonical_scale(sub, fern_mod._line_values(
+                _separating_entry(path, sub), sub.zero, INF, basis))
+            functionals[w] = tuple(values[b] for b in basis)
     return ClassPoint(space, functionals)
 
 
@@ -532,32 +516,23 @@ def round_trip(cp: ChartPoint, charts: Sequence[Chart]
 class CompatibilityChecker:
     """Precomputed nested-pair structure for fast membership tests.
 
-    For every nested pair of nonzero subspaces the coordinates of the
-    small basis inside the big one are tabulated once; checking a
-    functional tuple is then pure scalar arithmetic.  ``pairs`` lists every
-    nested pair, ``plane_pairs`` those whose small side has dimension at
-    least two: any value is a multiple of a single nonzero one, so only
-    those can fail compatibility.
+    Only a nested pair whose small side has dimension at least two can
+    fail compatibility: on a line any value is a multiple of a single
+    nonzero one.  For each such pair the coordinates of the small basis
+    inside the big one are tabulated once in ``plane_pairs``, so checking
+    a functional tuple is pure scalar arithmetic.
     """
 
     def __init__(self, space: LinSpace):
         self.space = space
         self.subs = [w for d in range(1, space.dim + 1)
                      for w in space.subspace_steps(d)]
-        self.pairs = []  # (small, big, small-basis coords in big's basis)
-        for w_small in self.subs:
-            small = space.subquotient(w_small)
-            for w_big in self.subs:
-                if w_big.dim <= w_small.dim or not w_big.contains_subspace(w_small):
-                    continue
-                big = space.subquotient(w_big)
-                coords = tuple(big.coords(b) for b in small.basis())
-                self.pairs.append((w_small, w_big, coords))
-        self.plane_pairs = [pair for pair in self.pairs if len(pair[2]) >= 2]
-
-    def _restrict(self, functionals, w_big, coords):
-        combine, big_vals = self.space.field.combine, functionals[w_big]
-        return [combine(c, big_vals) for c in coords]
+        self.plane_pairs = [  # (small, big, small-basis coords in big's)
+            (small, big, tuple(space.subquotient(big).coords(b)
+                               for b in space.subquotient(small).basis()))
+            for small in self.subs if small.dim - space.mod.dim >= 2
+            for big in self.subs
+            if big.dim > small.dim and big.contains_subspace(small)]
 
     def bv_ok(self, functionals: dict, pairs=None) -> bool:
         """The compatibility condition: for every pair of nested subspaces
@@ -567,14 +542,13 @@ class CompatibilityChecker:
         only on the subspaces those pairs name."""
         if pairs is None:
             pairs = self.plane_pairs
+        combine = self.space.field.combine
         for w_small, w_big, coords in pairs:
             small_vals = functionals[w_small]
-            d = len(small_vals)
-            big_vals = self._restrict(functionals, w_big, coords)
-            for i in range(d):
-                for j in range(i + 1, d):
-                    if big_vals[i] * small_vals[j] != big_vals[j] * small_vals[i]:
-                        return False
+            big_vals = [combine(c, functionals[w_big]) for c in coords]
+            for i, j in itertools.combinations(range(len(small_vals)), 2):
+                if big_vals[i] * small_vals[j] != big_vals[j] * small_vals[i]:
+                    return False
         return True
 
 

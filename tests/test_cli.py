@@ -97,6 +97,7 @@ def test_rejection_golden(name, monkeypatch):
     "fiber --p 2 --n 2 --basis 1,x",
     "fiber --p 2 --e 9 --n 1",
     "fiber --p 2 --m 17 --n 2 --t 1,1",
+    "roundtrip --p 2 --n 0",
 ])
 def test_malformed_parameters_exit_2(argv):
     code, out, err = run_cli(argv.split())

@@ -486,6 +486,34 @@ def test_root_product_additivity_random(rng):
             assert not c or exp in qpowers
 
 
+def reference_injective_marking(sp, rng):
+    """The marking by collision scan: draw basis images until every vector
+    gets its own value."""
+    fld = sp.field
+    for _ in range(200):
+        images = [fld.from_int(rng.randrange(fld.order)) for _ in range(sp.dim)]
+        values = {}
+        for v in sp.vectors():
+            total = fld.zero
+            for c, b in zip(sp.coords(v), images):
+                total = total + fld.scalar(c) * b
+            values.setdefault(total, v)
+        if len(values) == len(sp.vectors()):
+            return {v: x for x, v in values.items()}
+    return None
+
+
+@pytest.mark.parametrize("n,q,m", [(1, 2, 1), (2, 2, 1), (2, 2, 2),
+                                   (3, 2, 3), (2, 3, 2), (2, 4, 2)])
+def test_injective_marking_matches_collision_scan(n, q, m):
+    sp = space(n, q, m)
+    for seed in range(5):
+        rng, old_rng = random.Random(seed), random.Random(seed)
+        assert injective_linear_marking(sp, rng) \
+            == reference_injective_marking(sp, old_rng)
+        assert rng.random() == old_rng.random()  # the same draws
+
+
 # ---------------------------------------------------------------------------
 # validation from generators against the scan over all of G
 # ---------------------------------------------------------------------------

@@ -366,6 +366,113 @@ def test_linspace_coords_roundtrip():
             plane.coords((1, 0, 0), basis)
 
 
+def _subquotient(p, e, n, sub_rows, mod_rows):
+    """The subquotient span(sub_rows) / span(mod_rows) of F_q^n, with the
+    whole space for sub_rows None."""
+    vs = VSpace(field_make(p, e), n)
+    sub = Subspace.full(vs) if sub_rows is None \
+        else Subspace.from_vectors(vs, sub_rows + mod_rows)
+    return LinSpace(vs, sub, Subspace.from_vectors(vs, mod_rows))
+
+
+# full spaces, quotients and subquotients over GF(2), GF(3) and GF(4)
+_SUBQUOTIENTS = {
+    "F2^3": (2, 1, 3, None, []),
+    "F2^3/line": (2, 1, 3, None, [(1, 1, 0)]),
+    "F2^4 sub/line": (2, 1, 4, [(1, 0, 0, 0), (0, 0, 1, 1)],
+                      [(1, 1, 0, 0)]),
+    "F3^2": (3, 1, 2, None, []),
+    "F3^3/line": (3, 1, 3, None, [(1, 2, 0)]),
+    "F4^2": (2, 2, 2, None, []),
+    "F4^3/line": (2, 2, 3, None, [(1, 2, 3)]),
+}
+
+
+def _naive_combine(sp, coeffs, basis):
+    v = sp.vs.zero
+    for c, b in zip(coeffs, basis):
+        v = sp.vs.add(v, sp.vs.scale(c, b))
+    return v
+
+
+def _bases(sp, rng):
+    """The canonical basis, its reverse, the chart bases of a few complete
+    flags (full spaces) and a few seeded random bases."""
+    out = [None, sp.basis()[::-1]]
+    if sp.mod.dim == 0 and sp.sub.dim == sp.vs.n:
+        out += [adapted_basis(f) for f in complete_flags(sp.vs)[-3:]]
+    everything = list(itertools.product(range(sp.q), repeat=sp.dim))
+    while len(out) < 8:
+        basis = [rng.choice(sp.vectors()) for _ in range(sp.dim)]
+        spans = {sp.reduce(_naive_combine(sp, c, basis)) for c in everything}
+        if len(spans) == len(everything):
+            out.append(tuple(basis))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_SUBQUOTIENTS))
+def test_linspace_vectors_are_the_reduced_members(name):
+    sp = _subquotient(*_SUBQUOTIENTS[name])
+    assert sp.vectors() == tuple(sorted({sp.reduce(v)
+                                         for v in sp.sub.elements()}))
+
+
+@pytest.mark.parametrize("name", sorted(_SUBQUOTIENTS))
+def test_linspace_coords_match_a_coefficient_search(name):
+    # every ambient vector, so members that are not canonical reps and
+    # vectors outside the subspace are both asked for
+    sp = _subquotient(*_SUBQUOTIENTS[name])
+    rng = random.Random(7)
+    for basis in _bases(sp, rng):
+        rows = sp.basis() if basis is None else basis
+        found = {}
+        for c in itertools.product(range(sp.q), repeat=sp.dim):
+            found[sp.reduce(_naive_combine(sp, c, rows))] = c
+        for v in sp.vs.vectors():
+            expected = found.get(sp.reduce(v))
+            if expected is None:
+                with pytest.raises(ValueError, match="not a member"):
+                    sp.coords(v, basis)
+            else:
+                assert sp.coords(v, basis) == expected
+
+
+def _spans_distinct(fld, values):
+    """The old definition: all q^k combinations of the values differ."""
+    sums = set()
+    for coeffs in itertools.product(range(fld.q), repeat=len(values)):
+        total = fld.zero
+        for c, x in zip(coeffs, values):
+            total = total + fld.scalar(c) * x
+        sums.add(total)
+    return len(sums) == fld.q ** len(values)
+
+
+@pytest.mark.parametrize("params", [(2, 1, 2), (2, 1, 3), (3, 1, 2),
+                                    (3, 1, 3), (2, 1, 8), (2, 2, 4)],
+                         ids=["GF4", "GF8", "GF9", "GF27", "GF256",
+                              "GF256/GF4"])
+def test_independent_matches_distinct_combinations(params):
+    fld = field_make(*params)
+    rng = random.Random(11)
+    verdicts = []
+    for _ in range(40):
+        k = rng.randrange(fld.m + 2)
+        values = [fld.from_int(rng.randrange(fld.order)) for _ in range(k)]
+        tuples = [values]
+        if values:  # a zero entry and a repeated entry spliced in
+            i = rng.randrange(k + 1)
+            tuples.append(values[:i] + [fld.zero] + values[i:])
+            tuples.append(values[:i] + [rng.choice(values)] + values[i:])
+        for vals in tuples:
+            verdicts.append(fld.independent(vals))
+            assert verdicts[-1] == _spans_distinct(fld, vals), vals
+    assert any(verdicts) and not all(verdicts)
+    # scalar multiples of one value
+    x = fld.from_int(fld.order - 1)
+    assert not fld.independent([x, fld.scalar(fld.q - 1) * x])
+
+
 def test_linspace_subspace_steps():
     vs = VSpace(field_make(2), 3)
     space = LinSpace.full(vs)

@@ -157,21 +157,21 @@ def test_q_value_matches_polynomial_evaluation(n, q, m):
 
 def test_chart_contains_zero_point():
     ch = Chart(space(2, 2))
-    ok, stratum = chart_contains(ch, (ch.field.zero,))
-    assert ok and stratum.is_complete()
+    assert chart_contains(ch, (ch.field.zero,))
+    assert chart_point(ch, (ch.field.zero,)).stratum.is_complete()
 
 
 def test_chart_rejects_rational_combination():
     ch = Chart(space(2, 2))
-    ok, _ = chart_contains(ch, (ch.field.one,))  # T_1 + 1 vanishes at 1
-    assert not ok
+    assert not chart_contains(ch, (ch.field.one,))  # T_1 + 1 vanishes at 1
 
 
 def test_chart_accepts_generic_extension_point():
     ch = Chart(space(2, 2, 2))
     omega = ch.field.element((0, 1))
-    ok, stratum = chart_contains(ch, (omega,))
-    assert ok and len(stratum.steps) == 2  # trivial flag: a smooth point
+    assert chart_contains(ch, (omega,))
+    # trivial flag: a smooth point
+    assert len(chart_point(ch, (omega,)).stratum.steps) == 2
 
 
 def test_chart_point_counts():
@@ -206,10 +206,10 @@ def test_chart_positions_read_the_flag_once():
     omega = fld.element((0, 1))
     coarse = Flag((sp.mod, ch.flag.steps[2], sp.sub))
     assert ch.adapted_to(coarse)
-    ok, stratum = chart_contains(ch, (omega, fld.zero))
-    assert ok and stratum == coarse
-    assert ChartPoint(ch, (omega, fld.zero), stratum).stratum_indices \
-        == (0, 2, 3)
+    assert chart_contains(ch, (omega, fld.zero))
+    cp = ChartPoint(ch, (omega, fld.zero))
+    assert cp.stratum == coarse
+    assert cp.stratum_indices == (0, 2, 3)
     # a plane that the chart's flag skips: the flag through it is not
     # adapted to the chart
     plane = next(w for w in sp.subspace_steps(2) if w not in ch.positions)
@@ -221,9 +221,9 @@ def test_subflag_chart_membership():
     ch = Chart(space(2, 2, 2))
     omega = ch.field.element((0, 1))
     trivial = Flag((ch.flag.steps[0], ch.flag.steps[-1]))
-    assert chart_contains(ch, (omega,)) == (True, trivial)
+    assert chart_point(ch, (omega,)).stratum == trivial
     # a zero coordinate needs the interior step
-    assert chart_contains(ch, (ch.field.zero,)) == (True, ch.flag)
+    assert chart_point(ch, (ch.field.zero,)).stratum == ch.flag
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +713,18 @@ def test_classify_singular_kernels():
     assert any(point.value(w, v) for v in w.elements())
 
 
+def nested_pairs(sp):
+    """Every nested pair (small, big) of nonzero subspaces, with the
+    coordinates of the small basis in the big one, built apart from the
+    checker."""
+    subs = [w for d in range(1, sp.dim + 1) for w in sp.subspace_steps(d)]
+    return [(w_small, w_big,
+             tuple(sp.subquotient(w_big).coords(b)
+                   for b in sp.subquotient(w_small).basis()))
+            for w_small in subs for w_big in subs
+            if w_big.dim > w_small.dim and w_big.contains_subspace(w_small)]
+
+
 def uf_ok(checker, functionals, flag):
     """Chart membership on top of compatibility: for nested pairs not
     separated by the flag, the larger functional must not vanish
@@ -720,7 +732,7 @@ def uf_ok(checker, functionals, flag):
     if not checker.bv_ok(functionals):
         return False
     combine = checker.space.field.combine
-    for w_small, w_big, coords in checker.pairs:
+    for w_small, w_big, coords in nested_pairs(checker.space):
         separated = any(step.contains_subspace(w_small)
                         and not step.contains_subspace(w_big)
                         for step in flag.steps)
@@ -782,10 +794,10 @@ def test_bv_member_rejects_incompatible_tuple():
     assert not compatibility_checker(sp).bv_ok(point.functionals)
 
 
-def reference_bv_ok(checker, functionals):
+def reference_bv_ok(fld, pairs, functionals):
     # every nested pair, those whose small side is a line included
-    combine = checker.space.field.combine
-    for w_small, w_big, coords in checker.pairs:
+    combine = fld.combine
+    for w_small, w_big, coords in pairs:
         small, big = functionals[w_small], functionals[w_big]
         for i, j in itertools.combinations(range(len(small)), 2):
             if combine(coords[i], big) * small[j] \
@@ -808,12 +820,13 @@ def oracle_tuples(sp):
     ids=["F2^2/GF4", "F2^3", "F2^4/line"])
 def test_bv_ok_matches_every_pair_reference(sp):
     checker = compatibility_checker(sp)
-    assert [p for p in checker.pairs
+    pairs = nested_pairs(sp)
+    assert [p for p in pairs
             if sp.subquotient(p[0]).dim >= 2] == checker.plane_pairs
     verdicts = []
     for functionals in oracle_tuples(sp):
         verdict = checker.bv_ok(functionals)
-        assert verdict == reference_bv_ok(checker, functionals)
+        assert verdict == reference_bv_ok(sp.field, pairs, functionals)
         verdicts.append(verdict)
     assert sum(verdicts) == bv_count_strata(sp.dim, sp.q, sp.field.m).total
     assert all(verdicts) == (not checker.plane_pairs)
@@ -875,8 +888,10 @@ def reference_classify(f):
                 tree = reference_contract(f.tree, keep)
             sub = sp.subquotient(w)
             values = reference_line_values(tree, sub, sub.zero, INF)
-            functionals[w] = universal.canonical_functional(
-                [values[b] for b in sub.basis()])
+            basis_values = [values[b] for b in sub.basis()]
+            # scaled so that the last nonzero basis value is one
+            last = next(x for x in reversed(basis_values) if x)
+            functionals[w] = tuple(x / last for x in basis_values)
     return functionals
 
 
