@@ -11,24 +11,26 @@ surgeries coordinate transports:
                       the order in which marks are forgotten,
 * ``stabilize``       insert a new mark, sprouting a component if needed,
 * ``contract_to_component``  squash everything onto one component,
-* ``entry_points``    where each mark lands on one component when all the
-                      others are collapsed, read off the tree without
-                      building a contraction,
 * ``marked_isomorphism``  find the unique isomorphism that relabels the
                       marks by a given bijection (an automorphism when
                       no second tree is given): one scan places a root
                       component, and a walk over the tree places the
-                      rest, each neighbour at the image of its node point,
+                      rest, reading each special point's image off the
+                      entry maps; a Moebius map is built only on a
+                      component with a fourth special point,
 * ``Mobius.from_standard``  the one three-point construction, sending
                       (0:1), (1:1), (1:0) to three given points,
 * ``are_isomorphic``  the label-preserving case between two trees.
 
 Trees are immutable; every operation returns new values.  Each tree builds
 the data that every isomorphism search and every reading of entry points
-shares, ``MarkedTree.entry`` and ``MarkedTree.anchors``, on first use and
-keeps it.  Unstable trees are representable (they occur as stabilization
-inputs and as contraction images); only ``MarkedTree.validate`` decides
-stability.
+shares on first use and keeps it: ``MarkedTree.entry``, where each mark
+lands on each component when all the others are collapsed, in one pass
+over the tree; and ``MarkedTree.anchors``, each component's special
+points named by the smallest mark entering through each, with standard
+coordinates for the points past the third.  Unstable trees are
+representable (they occur as stabilization inputs and as contraction
+images); only ``MarkedTree.validate`` decides stability.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ class ProjPoint:
                 and self.y == other.y)
 
     def __hash__(self):
-        return hash((self.x, self.y))
+        return self.x.pk if self.y.pk else -1
 
     def __repr__(self):
         return "(1:0)" if self.is_infinity else f"({list(self.x.coeffs)}:1)"
@@ -246,21 +248,36 @@ class MarkedTree:
 
     @property
     def entry(self) -> Dict[object, Dict[object, ProjPoint]]:
-        """The entry maps: for each component, the point through which
-        every mark is reached (:func:`entry_points`)."""
+        """The entry maps: for each component c and each mark, the point of
+        c through which the mark is reached, its own point for a mark on c
+        and otherwise the node point toward its branch.  These are the
+        marks' positions on c after every other component is collapsed, as
+        :func:`contract_to_component` does, and after any contraction in
+        which c survives, since contraction never moves a surviving
+        component's coordinate.  Built by :func:`_entry_maps`."""
         if self._entry is None:
-            self._entry = {c: entry_points(self, c) for c in self.components}
+            self._entry = _entry_maps(self)
         return self._entry
 
     @property
-    def anchors(self) -> Dict[object, Tuple[tuple, Mobius]]:
-        """For each component c reached through three or more points, three
-        marks reached through distinct points of c (the smallest by
-        ``repr`` of the smallest mark in each direction) and the Moebius
-        map sending their entry points to (0:1), (1:1), (1:0).  The marks
-        are ranked by ``repr`` once per tree, and each component compares
-        ranks.  A component reached through fewer points is left out, and
-        searching from it raises."""
+    def anchors(self) -> Dict[object, tuple]:
+        """For each component c whose special points are distinct and at
+        least three, ``(marks, neighbours, toward, frame, std)``:
+
+        * ``marks``       for each special point of c, the smallest mark
+                          (by ``repr`` rank) entering through it, in rank
+                          order; the first three are c's anchors,
+        * ``neighbours``  c's neighbours, and ``toward`` for each the mark
+                          of ``marks`` entering through its node point,
+        * ``frame``       None on a component with three special points,
+                          else the Moebius map sending the anchors' entry
+                          points to (0:1), (1:1), (1:0),
+        * ``std``         the images under ``frame`` of the entry points
+                          of ``marks[3:]``.
+
+        The marks are ranked by ``repr`` once per tree.  A component with
+        fewer or coincident special points is left out, and searching from
+        it raises."""
         if self._anchors is None:
             order = sorted(self.marking, key=repr)
             rank = {lbl: r for r, lbl in enumerate(order)}
@@ -271,11 +288,16 @@ class MarkedTree:
                     r = rank[lbl]
                     if r < best.get(pt, len(order)):
                         best[pt] = r
-                if len(best) < 3:
+                adj = self._adj[c]
+                if not 3 <= len(best) == len(adj) + len(self._marks_on[c]):
                     continue
-                marks = tuple(order[r] for r in sorted(best.values())[:3])
-                self._anchors[c] = (
-                    marks, Mobius.to_standard(*(entry[a] for a in marks)))
+                marks = tuple(order[r] for r in sorted(best.values()))
+                toward = tuple(order[best[p]] for p in adj.values())
+                frame, std = None, ()
+                if len(marks) > 3:
+                    frame = Mobius.to_standard(*(entry[a] for a in marks[:3]))
+                    std = tuple(frame.apply(entry[a]) for a in marks[3:])
+                self._anchors[c] = (marks, tuple(adj), toward, frame, std)
         return self._anchors
 
     def is_connected_tree(self) -> bool:
@@ -365,6 +387,41 @@ def single_component_tree(fld: ExtField, marking: Dict[object, ProjPoint],
     return MarkedTree(fld, [cid], [], {l: (cid, p) for l, p in marking.items()})
 
 
+def _entry_maps(t: MarkedTree) -> Dict[object, Dict[object, ProjPoint]]:
+    """Every component's entry map, in one pass over the tree rooted at
+    any component: the marks below each component, gathered from the
+    leaves up, then for each component its own marks at their points, the
+    marks below each child at that child's node point, and every other
+    mark at the node point toward the root.  O(components x marks)."""
+    order = list(t.components)[:1]  # the root, then breadth first
+    parent = dict.fromkeys(order)
+    for c in order:
+        for d in t.neighbors(c):
+            if d not in parent:
+                parent[d] = c
+                order.append(d)
+    if len(order) != len(t.components) or len(t.nodes) != len(order) - 1:
+        raise ValueError("incidence graph is not a connected tree")
+    root = order[0]
+    below: Dict[object, list] = {}
+    for c in reversed(order):
+        marks = list(t.marks_on(c))
+        for d in t.neighbors(c):
+            if d != parent[c]:
+                marks.extend(below[d])
+        below[c] = marks
+    entry = {}
+    for c in order:
+        up = parent[c]
+        here = {} if up is None else dict.fromkeys(below[root], t.neighbors(c)[up])
+        for d, pt in t.neighbors(c).items():
+            if d != up:
+                here.update(dict.fromkeys(below[d], pt))
+        here.update(t.marks_on(c))
+        entry[c] = here
+    return entry
+
+
 # ---------------------------------------------------------------------------
 # Contraction
 # ---------------------------------------------------------------------------
@@ -446,7 +503,7 @@ def contract_to_component(t: MarkedTree, i) -> MarkedTree:
     All marks are re-marked on the surviving projective line; marks from
     collapsed branches land at the branch attachment point, so the result
     may fail injectivity and is not validated.  The package reads these
-    positions through :func:`entry_points` instead; this path-based form
+    positions off ``MarkedTree.entry`` instead; this path-based form
     stays as their independent reference, which ``tests/test_curve.py``
     checks and ``perfbench/spans.py`` traces by name.
     """
@@ -539,37 +596,33 @@ def stabilize(t: MarkedTree, i, position) -> MarkedTree:
 # Isomorphism of marked trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Correspondence:
-    """A marked isomorphism: component bijection plus per-component maps."""
+    """A marked isomorphism: the component bijection ``components``, and
+    ``maps``, each component's Moebius map from t1 coordinates to t2
+    coordinates, built on first read from the images of each component's
+    anchors under the search's relabelling."""
 
-    components: dict  # cid of t1 -> cid of t2
-    maps: dict        # cid of t1 -> Mobius (t1 coordinates to t2 coordinates)
+    __slots__ = ("components", "_maps", "_source")
 
+    def __init__(self, components: dict, source: tuple):
+        self.components = components
+        self._maps = None
+        self._source = source  # (t1, relabel, t2) of the search
 
-def entry_points(t: MarkedTree, c) -> Dict[object, ProjPoint]:
-    """The point of component c through which every mark is reached: its
-    own point for a mark on c, else the node point toward its branch.
-
-    These are the marks' positions on c after every other component is
-    collapsed, as :func:`contract_to_component` does, and on c after any
-    contraction in which c survives, since contraction never moves a
-    surviving component's coordinate.  ``MarkedTree.entry`` keeps the
-    result for every component; read it there.
-    """
-    entry = dict(t.marks_on(c))
-    for nb, pt_here in t.neighbors(c).items():
-        # every mark whose component sits in the branch through nb
-        stack, branch = [nb], set()
-        while stack:
-            d = stack.pop()
-            if d in branch or d == c:
-                continue
-            branch.add(d)
-            stack.extend(t.neighbors(d))
-            for lbl in t.marks_on(d):
-                entry[lbl] = pt_here
-    return entry
+    @property
+    def maps(self) -> dict:
+        if self._maps is None:
+            t1, relabel, t2 = self._source
+            anchors1, entry1, entry2 = t1.anchors, t1.entry, t2.entry
+            self._maps = {}
+            for c, d in self.components.items():
+                marks, _, _, frame, _ = anchors1[c]
+                anchors = marks[:3]
+                if frame is None:
+                    frame = Mobius.to_standard(*(entry1[c][a] for a in anchors))
+                self._maps[c] = Mobius.from_standard(
+                    *(entry2[d][relabel[a]] for a in anchors)).compose(frame)
+        return self._maps
 
 
 def marked_isomorphism(t1: MarkedTree, relabel: dict,
@@ -582,46 +635,58 @@ def marked_isomorphism(t1: MarkedTree, relabel: dict,
     mark, is the meeting point of its three anchor marks, so its image is
     the unique component of ``dst`` that the relabelled anchors reach
     through three distinct points; one scan over ``dst`` finds it.  From
-    there the search walks t1.  At a component c with image d, sending c's
-    anchors' entry points to the relabelled anchors' entry points on d
-    forces the coordinate map m; the three must be distinct there, or
-    there is no isomorphism.  A neighbour of c is glued at some point p,
-    so its image must be the neighbour of d glued at m(p), looked up in a
+    there the search walks t1.  At a component c with image d, each
+    special point p of c must go to the point of d through which the
+    relabelled marks entering c through p enter d: the entry point on d of
+    the relabelled mark that ``t1.anchors`` keeps for p, a lookup.  PGL_2
+    is sharply 3-transitive: three distinct points go to three distinct
+    points by exactly one Moebius map.  So the anchors' images must be
+    distinct, or there is no isomorphism; when they are and c has only
+    three special points, the map is forced and nothing is left to check.
+    Only a component with a fourth special point builds that map, from the
+    anchors' images, and checks it on the standard coordinates of the
+    others.  A neighbour of c is glued at some point p, so its image must
+    be the neighbour of d glued at the image of p, looked up in a
     point-to-neighbour table of d built for this search; for c's parent,
     whose image is already fixed, that lookup checks the node from the
-    second end.  So every node is confirmed from both ends, and the marks
-    then confirm or refute the maps.  The trees must have equally many
-    components and nodes, which :func:`are_isomorphic` checks.  Without
-    ``dst``, this finds the automorphism that permutes the marks by
-    ``relabel``, on t1's own entry maps; no relabelled copy is built.
-    Both trees' anchors and entry maps are the ones they keep.
+    second end.  So every node is confirmed from both ends, and each mark
+    then only has to land on the image of its component.  The trees must
+    have equally many components and nodes, which :func:`are_isomorphic`
+    checks.  Without ``dst``, this finds the automorphism that permutes
+    the marks by ``relabel``, on t1's own entry maps; no relabelled copy
+    is built.  Both trees' anchors and entry maps are the ones they keep,
+    and the coordinate maps are built only when ``maps`` is read.
     """
     t2 = t1 if dst is None else dst
     anchors1, entry2 = t1.anchors, t2.entry
     if len(anchors1) != len(t1.components) or not t1.marking:
         raise ValueError("tree is not stable")
     root = next(iter(t1.marking.values()))[0]
-    images = [relabel[a] for a in anchors1[root][0]]
+    images = [relabel[a] for a in anchors1[root][0][:3]]
     candidates = [d for d in t2.components
                   if len({entry2[d][a] for a in images}) == 3]
     if not candidates:
         return None
     if len(candidates) > 1:
         raise AssertionError("median of three marks must be unique")
-    comp_map, mobius = {root: candidates[0]}, {}
+    comp_map = {root: candidates[0]}
     stack = [root]
     while stack:
         c = stack.pop()
         d = comp_map[c]
-        anchors, src_std = anchors1[c]
+        marks, neighbours, toward, _, std = anchors1[c]
         entry = entry2[d]
-        p0, p1, pinf = (entry[relabel[a]] for a in anchors)
+        p0, p1, pinf = [entry[relabel[a]] for a in marks[:3]]
         if p0 == p1 or p1 == pinf or p0 == pinf:
             return None
-        m = mobius[c] = Mobius.from_standard(p0, p1, pinf).compose(src_std)
+        if std:
+            m = Mobius.from_standard(p0, p1, pinf)
+            for a, z in zip(marks[3:], std):
+                if m.apply(z) != entry[relabel[a]]:
+                    return None
         at = {p: d2 for d2, p in t2.neighbors(d).items()}
-        for c2, p in t1.neighbors(c).items():
-            d2 = at.get(m.apply(p))
+        for c2, a in zip(neighbours, toward):
+            d2 = at.get(entry[relabel[a]])
             if d2 is None:
                 return None
             if c2 in comp_map:
@@ -634,11 +699,25 @@ def marked_isomorphism(t1: MarkedTree, relabel: dict,
     # injective, and every component reached
     if len(set(comp_map.values())) != len(t1.components):
         return None
-    for lbl, (cid, pt) in t1.marking.items():
-        cid2, pt2 = t2.marking[relabel[lbl]]
-        if comp_map[cid] != cid2 or mobius[cid].apply(pt) != pt2:
+    marking2 = t2.marking
+    for lbl, (cid, _) in t1.marking.items():
+        if comp_map[cid] != marking2[relabel[lbl]][0]:
             return None
-    return Correspondence(comp_map, mobius)
+    return Correspondence(comp_map, (t1, relabel, t2))
+
+
+class _SameLabels(dict):
+    """The relabelling that keeps every mark: an empty dict whose missing
+    keys map to themselves, so that a label-preserving search builds no
+    dict of the marks and its correspondence keeps none."""
+
+    __slots__ = ()
+
+    def __missing__(self, lbl):
+        return lbl
+
+
+_SAME_LABELS = _SameLabels()
 
 
 def are_isomorphic(t1: MarkedTree, t2: MarkedTree) -> Optional[Correspondence]:
@@ -651,4 +730,4 @@ def are_isomorphic(t1: MarkedTree, t2: MarkedTree) -> Optional[Correspondence]:
     if (len(t1.components) != len(t2.components)
             or len(t1.nodes) != len(t2.nodes)):
         return None
-    return marked_isomorphism(t1, {lbl: lbl for lbl in t1.marking}, t2)
+    return marked_isomorphism(t1, _SAME_LABELS, t2)

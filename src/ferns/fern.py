@@ -5,9 +5,12 @@ The action itself is never stored.  Morphisms of stable marked trees are
 unique, so the automorphism attached to a group element g = (v, xi) is
 exactly the isomorphism from the tree to itself that sends mark w to mark
 g.w = xi*w + v, and these automorphisms compose like the group elements.
-Each search runs on the data the tree keeps (``MarkedTree.entry`` and
-``MarkedTree.anchors``) with the marks relabelled by g; no relabelled copy
-of the tree is made.  An action is determined by its generators, so
+Each search reads the data the tree keeps (``MarkedTree.entry`` and
+``MarkedTree.anchors``) with the marks relabelled by g: the image of each
+special point is a lookup in the entry maps, and Moebius arithmetic is done
+only on a component with a fourth special point.  No relabelled copy of the
+tree is made, and an automorphism's coordinate maps are built only when the
+scaling check of a scalar reads them.  An action is determined by its generators, so
 validation searches only for the automorphisms of the n basis
 translations and, for q > 2, of one primitive scalar, and its violations
 name the generators that fail.  The chain of components joining the

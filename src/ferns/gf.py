@@ -889,7 +889,7 @@ def group_act(a: GroupElement, w):
     if w == INF:
         return INF
     sp = a.space
-    return sp.add(sp.scale(a.xi, w), a.v)
+    return sp.add(w if a.xi == 1 else sp.scale(a.xi, w), a.v)
 
 
 def group_elements(space: LinSpace) -> list:

@@ -430,7 +430,7 @@ def classify(f: Fern) -> ClassPoint:
     surviving component and lands each forgotten branch at its node
     point, so that contraction, squashed onto its infinity component, is
     one component c_W of the fern with each mark of W at its entry point
-    there (:func:`curve.entry_points`), read from the entry maps that the
+    there (``MarkedTree.entry``), read from the entry maps that the
     fern's tree keeps and its validation already built.  c_W is the first
     component on the path from the infinity mark to the 0-mark where the
     marks of W enter through at least two points.  None of them enters

@@ -37,6 +37,26 @@ def space(n, q, m=1):
     return LinSpace.full(VSpace(field_make(p, e, m), n))
 
 
+def entry_points(t, c):
+    """The point of component c through which every mark is reached: its
+    own point for a mark on c, else the node point toward its branch,
+    found by walking that branch.  The reference for ``MarkedTree.entry``,
+    which builds every component's map in one pass over the tree."""
+    entry = dict(t.marks_on(c))
+    for nb, pt_here in t.neighbors(c).items():
+        # every mark whose component sits in the branch through nb
+        stack, branch = [nb], set()
+        while stack:
+            d = stack.pop()
+            if d in branch or d == c:
+                continue
+            branch.add(d)
+            stack.extend(t.neighbors(d))
+            for lbl in t.marks_on(d):
+                entry[lbl] = pt_here
+    return entry
+
+
 def reference_contract(t, keep):
     """Contraction by collapsing, one unstable component at a time, onto a
     neighbour through its remaining node; the reference for

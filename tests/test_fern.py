@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,13 +14,14 @@ from ferns.curve import MarkedTree, Mobius, ProjPoint, single_component_tree
 from ferns.fern import (InvalidFern, LineData, contract_fern, drinfeld_psi,
                         expand_root_product, fern_violations, graft,
                         line_data, reciprocal_data, validate_fern)
-from ferns.gf import (INF, LinSpace, Subspace, VSpace, field_make, group_act,
-                      group_elements)
+from ferns.gf import (INF, GroupElement, LinSpace, Subspace, VSpace,
+                      field_make, group_act, group_elements)
 from ferns.rand import (injective_linear_marking, random_fern,
-                        random_pipeline_fern, random_remap)
-from ferns.universal import classify
+                        random_pipeline_fern, random_remap,
+                        random_stable_tree)
+from ferns.universal import atlas, chart_point, classify, fiber
 
-from conftest import space
+from conftest import entry_points, space
 
 
 def with_marking(tree, marking, extra=None):
@@ -519,9 +521,55 @@ def test_injective_marking_matches_collision_scan(n, q, m):
 # ---------------------------------------------------------------------------
 
 def fresh_entry(tree):
-    """Every component's entry points, read with curve.entry_points and not
-    from the maps the tree keeps."""
-    return {c: curve.entry_points(tree, c) for c in tree.components}
+    """Every component's entry points, read with conftest.entry_points and
+    not from the maps the tree keeps."""
+    return {c: entry_points(tree, c) for c in tree.components}
+
+
+def test_entry_maps_match_branch_walks(rng):
+    # the one pass over each tree against a walk over every branch of
+    # every component, on random stable trees and their contractions, and
+    # on ferns (smooth and grafted), their perturbed copies, their
+    # contractions and grafts
+    trees = []
+    fld = field_make(2, 1, 2)
+    for _ in range(5):
+        t = random_stable_tree(fld, range(1, 9), rng)
+        trees += [t, curve.contract(t, rng.sample(range(1, 9), 4))]
+    for n, q, m in [(2, 2, 1), (3, 2, 1), (2, 3, 1), (1, 4, 2), (2, 2, 2)]:
+        sp = space(n, q, m)
+        for _ in range(2):
+            f = random_fern(sp, rng)
+            trees += perturbed_trees(f, rng)
+            if sp.dim > 1:
+                trees.append(contract_fern(f, rng.choice(sp.proper_steps())).tree)
+    for n, q in [(2, 3), (3, 2)]:
+        sp = space(n, q)
+        vs = sp.vs
+        w = Subspace.from_vectors(vs, [vs.basis_vector(1)])
+        sub = random_fern(LinSpace(vs, w, Subspace.zero(vs)), rng)
+        quot = random_fern(LinSpace(vs, Subspace.full(vs), w), rng)
+        complement = Subspace.from_vectors(
+            vs, [vs.basis_vector(i) for i in range(2, n + 1)])
+        trees.append(graft(sub, quot, complement).tree)
+    assert sum(len(t.components) > 2 for t in trees) >= 10
+    assert any(t.extra for t in trees)
+    for t in trees:
+        assert t.entry == fresh_entry(t)
+
+
+def test_entry_maps_refuse_a_graph_that_is_not_a_tree():
+    # a cycle, alone or next to a component that no node reaches: the
+    # same number of nodes as components, or one fewer
+    K = field_make(5)
+    pt = [ProjPoint.affine(K.from_int(v)) for v in range(3)]
+    cycle = [curve.node("A", pt[0], "B", pt[0]), curve.node("B", pt[1], "C", pt[0]),
+             curve.node("C", pt[1], "A", pt[1])]
+    marking = {1: ("A", pt[2]), 2: ("B", pt[2]), 3: ("C", pt[2])}
+    for components in (["A", "B", "C"], ["A", "B", "C", "D"]):
+        tree = MarkedTree(K, components, cycle, marking)
+        with pytest.raises(ValueError, match="not a connected tree"):
+            tree.entry
 
 
 def scales_chain(entry, sp, chain, corr, xi):
@@ -739,15 +787,15 @@ def test_generator_searches_per_validation(monkeypatch):
 
 def test_tree_builds_each_entry_map_once(monkeypatch):
     # validation, classification, line data and isomorphism searches all
-    # read the entry maps that each tree builds once per component
+    # read the entry maps that each tree builds in one pass
     built = []
-    real = curve.entry_points
+    real = curve._entry_maps
 
-    def counted(t, c):
-        built.append((id(t), c))
-        return real(t, c)
+    def counted(t):
+        built.append(id(t))
+        return real(t)
 
-    monkeypatch.setattr(curve, "entry_points", counted)
+    monkeypatch.setattr(curve, "_entry_maps", counted)
     sp = space(3, 2)
     f = random_fern(sp, random.Random(4))
     tree = with_marking(f.tree, f.tree.marking)
@@ -760,9 +808,7 @@ def test_tree_builds_each_entry_map_once(monkeypatch):
     reciprocal_data(fern)
     for t1, t2 in [(tree, other), (other, tree), (tree, tree)]:
         assert curve.are_isomorphic(t1, t2) is not None
-    assert sorted(built, key=repr) == sorted(
-        [(id(tree), c) for c in tree.components]
-        + [(id(other), c) for c in other.components], key=repr)
+    assert sorted(built) == sorted([id(tree), id(other)])
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +823,8 @@ def remarked(tree, g):
 
 def reference_isomorphism(t1, t2):
     """The label-preserving isomorphism found from fresh entry maps of both
-    trees, anchors sorted per call: the search without per-tree data."""
+    trees, anchors sorted per call: the search without per-tree data.  Its
+    ``components`` and ``maps`` are built at once, or it is None."""
     entry1, entry2 = fresh_entry(t1), fresh_entry(t2)
     comp_map, mobius = {}, {}
     for c in t1.components:
@@ -806,7 +853,7 @@ def reference_isomorphism(t1, t2):
         if curve.node(comp_map[c1], mobius[c1].apply(p1), comp_map[c2],
                       mobius[c2].apply(p2)) not in t2.nodes:
             return None
-    return curve.Correspondence(comp_map, mobius)
+    return SimpleNamespace(components=comp_map, maps=mobius)
 
 
 def assert_automorphisms_match_reference(tree, sp):
@@ -877,6 +924,58 @@ def test_are_isomorphic_matches_reference(rng):
                     assert found.maps == expected.maps
 
 
+def zero_point_fiber(p, n):
+    """The fiber over the zero point of the first chart of F_p^n over
+    GF(p): the deepest stratum, with the most components."""
+    fld = field_make(p)
+    chart = atlas(LinSpace.full(VSpace(fld, n)))[0]
+    return fiber(chart_point(chart, (fld.zero,) * (n - 1)))
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 2)])
+def test_deepest_fibers_match_reference(p, n):
+    # on the zero points of F_2^n every component has three special
+    # points, so no search builds a map and the maps are built only when
+    # read; the generators are among the elements of G compared
+    f, rng = zero_point_fiber(p, n), random.Random(p * n)
+    tree, sp = f.tree, f.space
+    if p == 2:
+        assert all(len(tree.anchors[c][0]) == 3 for c in tree.components)
+    for t2 in (tree, random_remap(tree, rng)):
+        found = curve.are_isomorphic(tree, t2)
+        expected = reference_isomorphism(tree, t2)
+        assert found is not None and expected is not None
+        assert found.components == expected.components
+        assert found.maps == expected.maps
+    for v, xi in generators(sp):
+        assert fern_mod._automorphism(tree, GroupElement(sp, v, xi)) is not None
+    assert assert_automorphisms_match_reference(tree, sp) == 0
+    for other in perturbed_trees(f, rng)[1:]:
+        assert_automorphisms_match_reference(other, sp)
+
+
+def test_validating_a_trivalent_fiber_builds_no_map(monkeypatch):
+    # once a fresh copy of the deepest F_2^4 fiber has its anchors, its
+    # validation and a search from it call Mobius.from_standard zero
+    # times; reading the maps calls it twice per component
+    f = zero_point_fiber(2, 4)
+    tree = with_marking(f.tree, f.tree.marking)
+    tree.anchors
+    calls = []
+    real = Mobius.from_standard.__func__
+
+    def counted(cls, *points):
+        calls.append(1)
+        return real(cls, *points)
+
+    monkeypatch.setattr(Mobius, "from_standard", classmethod(counted))
+    validate_fern(tree, f.space)
+    corr = curve.are_isomorphic(tree, f.tree)
+    assert calls == []
+    corr.maps
+    assert len(calls) == 2 * len(tree.components) == 30
+
+
 # ---------------------------------------------------------------------------
 # the walk's refusals, pair by pair against the reference search
 # ---------------------------------------------------------------------------
@@ -927,6 +1026,28 @@ def test_walk_refuses_a_root_whose_anchors_meet_nowhere():
 def test_walk_refuses_a_mark_at_the_wrong_point():
     # 6 stays on B, the image of its component, but at (4:1)
     assert_refused(two_line_tree(marks={6: ("B", 4)}))
+
+
+def trivalent_child_tree(marks=None):
+    """The parent A carries marks 4, 5 and meets the child B at (0:1) of
+    A; B carries marks 1, 2, so it has three special points.  The walk
+    starts at A, and B's anchors are 1, 2 and 4, through the node."""
+    placed = {4: ("A", 1), 5: ("A", 2), 1: ("B", 1), 2: ("B", 2)}
+    placed.update(marks or {})
+    return MarkedTree(F5, ["A", "B"], [curve.node("A", f5(0), "B", f5(0))],
+                      {lbl: (c, f5(v)) for lbl, (c, v) in placed.items()})
+
+
+def test_walk_refuses_anchor_images_that_meet_on_a_trivalent_component():
+    # with 2 on top of 1, B's anchors 1 and 2 have one image on B; B has
+    # three special points, so no Moebius map is built there, and only the
+    # check that the anchors' images are distinct refuses the pair
+    t1, t2 = trivalent_child_tree(), trivalent_child_tree(marks={2: ("B", 1)})
+    assert t1.validate().ok and not t2.validate().ok
+    assert t1.anchors["B"][0] == (1, 2, 4) and t1.anchors["B"][3:] == (None, ())
+    assert curve.are_isomorphic(t1, trivalent_child_tree()) is not None
+    assert reference_isomorphism(t1, t2) is None
+    assert curve.are_isomorphic(t1, t2) is None
 
 
 UNSTABLE_PROBE = """

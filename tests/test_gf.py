@@ -538,6 +538,19 @@ def test_group_action_laws_exhaustive():
                     group_act(a, group_act(b, w))
 
 
+@pytest.mark.parametrize("n,q,m", [(2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 4, 2)])
+def test_group_act_is_scale_then_add(n, q, m):
+    # every element, translations (xi = 1) included, acts as xi*w + v on
+    # a full space and on a subquotient, reduced to the representative
+    full = space(n, q, m)
+    sub = Subspace.from_vectors(full.vs, [full.vs.basis_vector(1)])
+    for sp in (full, LinSpace(full.vs, Subspace.full(full.vs), sub)):
+        for g in group_elements(sp):
+            for w in sp.vectors():
+                assert group_act(g, w) == sp.add(sp.scale(g.xi, w), g.v)
+            assert group_act(g, INF) == INF
+
+
 def test_group_rejects_zero_scalar():
     space = LinSpace.full(VSpace(field_make(2), 1))
     with pytest.raises(ValueError):
